@@ -4,7 +4,9 @@ Two knobs move the network between classical and quantum operation: the
 activation stretch `a` (rotation-based superposition with projective
 mid-circuit measurement) and the entanglement angle `g` (weak measurement
 through an ancilla). The configuration (a=0, g=pi/2) reproduces the
-classical binarized network bit-for-bit.
+classical binarized network bit-for-bit. Every operation has one batched
+implementation (see the submodules); batches are column-major, features x
+samples.
 """
 
 from .checkpoint import CheckpointCorrupt, load_checkpoint, save_checkpoint
@@ -17,46 +19,16 @@ from .data import (
     SubsetTooLarge,
     TruncatedFile,
     encode_dataset,
-    encode_image,
     load_raw_dataset,
     parse_idx_images,
     parse_idx_labels,
     serialize_idx_images,
     serialize_idx_labels,
-    shuffled_batches,
     subset,
 )
-from .inference import (
-    EmptyDataset,
-    InferencePolicy,
-    evaluate,
-    predict_deterministic,
-    predict_mode,
-)
-from .network import (
-    ForwardTrace,
-    NetworkParams,
-    ShapeMismatch,
-    classical_forward,
-    htanh,
-    init_network_params,
-    relaxed_forward,
-    sign,
-    softmax_cross_entropy,
-    ste_backward,
-)
-from .quantum import (
-    HALF_PI,
-    MeasurementOutcome,
-    QuantumConfig,
-    QubitState,
-    apply_ry,
-    phi_a,
-    projective_measure,
-    quantum_forward,
-    rotation_angle,
-    weak_measure,
-)
+from .inference import EmptyDataset, InferencePolicy, evaluate
+from .network import NetworkParams, ShapeMismatch, htanh, init_network_params, sign
+from .quantum import HALF_PI, QuantumConfig, phi_a
 from .training import (
     ConfigInvalid,
     Hyperparams,

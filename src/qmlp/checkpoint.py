@@ -19,6 +19,7 @@ the reproducibility tests rely on.
 from __future__ import annotations
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -55,10 +56,20 @@ def checkpoint_bytes(
     return b"".join(parts)
 
 
-def save_checkpoint(path, params, opt=None, epoch=0, meta=None):
-    data = checkpoint_bytes(params, opt, epoch, meta)
-    with open(path, "wb") as fh:
+def write_atomic(path, data: bytes):
+    """Write data to `path` through a temporary file in the same directory.
+
+    The rename is atomic, so a reader (or a resumed run) sees either the
+    previous file or the complete new one, never a torn write.
+    """
+    tmp = f"{path}.tmp"
+    with open(tmp, "wb") as fh:
         fh.write(data)
+    os.replace(tmp, path)
+
+
+def save_checkpoint(path, params, opt=None, epoch=0, meta=None):
+    write_atomic(path, checkpoint_bytes(params, opt, epoch, meta))
 
 
 def load_checkpoint(path):

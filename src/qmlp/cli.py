@@ -9,11 +9,10 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from . import data as data_mod
 from .checkpoint import CheckpointCorrupt, load_checkpoint
-from .config import RunConfig, apply_overrides, config_from_dict
+from .config import RunConfig, load_config
 from .inference import (
     EmptyDataset,
     InferencePolicy,
@@ -21,12 +20,13 @@ from .inference import (
     mode_over_shots,
     prediction_matrix,
 )
-from .sweep import load_datasets, run_sweep, run_training_job
+from .sweep import ResultCorrupt, load_datasets, run_sweep, run_training_job
 from .training import ConfigInvalid
 
 _KNOWN_ERRORS = (
     ConfigInvalid,
     CheckpointCorrupt,
+    ResultCorrupt,
     EmptyDataset,
     data_mod.MagicMismatch,
     data_mod.TruncatedFile,
@@ -36,30 +36,17 @@ _KNOWN_ERRORS = (
 )
 
 
-def _load_run_config(args) -> RunConfig:
-    if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                raw = yaml.safe_load(fh) or {}
-        except OSError as exc:
-            raise ConfigInvalid(f"cannot read config {args.config}: {exc}") from exc
-        except yaml.YAMLError as exc:
-            raise ConfigInvalid(f"cannot parse config {args.config}: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise ConfigInvalid(f"config {args.config} must be a mapping")
-    else:
-        raw = {}
+def _job_config(args) -> RunConfig:
+    """The run config of train and sweep: --seed and --out applied last."""
     sets = list(args.set or [])
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         sets.append(f"training.seed={args.seed}")
-    cfg = config_from_dict(apply_overrides(raw, sets))
-    if getattr(args, "out", None):
-        cfg = replace(cfg, out_dir=str(args.out))
-    return cfg
+    cfg = load_config(args.config, sets)
+    return replace(cfg, out_dir=str(args.out)) if args.out else cfg
 
 
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _job_config(args)
     out_dir = Path(cfg.out_dir)
     result = run_training_job(cfg, out_dir)
     for key in (
@@ -75,14 +62,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _job_config(args)
     results = run_sweep(cfg, threads=args.threads)
     print(f"{len(results)} cells done; table at {Path(cfg.out_dir) / 'sweep.csv'}")
     return 0
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = load_config(args.config, args.set or ())
     params, _opt, _epoch, _meta = load_checkpoint(args.checkpoint)
     _train_set, val_set = load_datasets(cfg)
     quantum = cfg.hyper.quantum
@@ -136,7 +123,7 @@ def _check_idx_file(path: str) -> str:
 def cmd_fetch_check(args) -> int:
     paths = list(args.paths)
     if not paths and args.config:
-        cfg = _load_run_config(args)
+        cfg = load_config(args.config, args.set or ())
         paths = [
             cfg.data.train_images,
             cfg.data.train_labels,
@@ -163,7 +150,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, threads_default=1):
+    def add(name, summary, func, job=False):
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="YAML run configuration")
         p.add_argument(
             "--set",
@@ -171,20 +159,19 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="KEY=VALUE",
             help="override a config entry, e.g. --set quantum.a=0.5",
         )
-        p.add_argument("--out", help="output directory (overrides config out_dir)")
-        p.add_argument("--seed", type=int, help="override the training seed")
-        p.add_argument("--threads", type=int, default=threads_default)
+        if job:
+            p.add_argument("--out", help="output directory (overrides config out_dir)")
+            p.add_argument("--seed", type=int, help="override the training seed")
+        p.set_defaults(func=func)
+        return p
 
-    p_train = sub.add_parser("train", help="train one model and write its artifacts")
-    common(p_train)
-    p_train.set_defaults(func=cmd_train)
+    add("train", "train one model and write its artifacts", cmd_train, job=True)
 
-    p_sweep = sub.add_parser("sweep", help="train every (a, g, seed) grid cell")
-    common(p_sweep, threads_default=1)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep = add("sweep", "train every (a, g, seed) grid cell", cmd_sweep, job=True)
+    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes")
 
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the validation set")
-    common(p_eval)
+    p_eval = add("eval", "evaluate a checkpoint on the validation set", cmd_eval)
+    p_eval.add_argument("--out", help="directory for shots_curve.csv (default: .)")
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument(
         "--shots-curve",
@@ -192,12 +179,9 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MAX",
         help="also write error vs shots for 1..MAX",
     )
-    p_eval.set_defaults(func=cmd_eval)
 
-    p_check = sub.add_parser("fetch-check", help="validate IDX files by magic and size")
-    common(p_check)
+    p_check = add("fetch-check", "validate IDX files by magic and size", cmd_fetch_check)
     p_check.add_argument("paths", nargs="*", help="IDX files to validate")
-    p_check.set_defaults(func=cmd_fetch_check)
 
     return parser
 

@@ -171,14 +171,17 @@ def apply_overrides(raw: dict, sets) -> dict:
     return raw
 
 
-def load_config(path, sets=()) -> RunConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = yaml.safe_load(fh) or {}
-    except OSError as exc:
-        raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ConfigInvalid(f"cannot parse config {path}: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigInvalid(f"config {path} must be a mapping")
+def load_config(path=None, sets=()) -> RunConfig:
+    """Read a YAML config (path None: an empty one) and apply --set overrides."""
+    raw = {}
+    if path is not None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                raw = yaml.safe_load(fh) or {}
+        except OSError as exc:
+            raise ConfigInvalid(f"cannot read config {path}: {exc}") from exc
+        except yaml.YAMLError as exc:
+            raise ConfigInvalid(f"cannot parse config {path}: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigInvalid(f"config {path} must be a mapping")
     return config_from_dict(apply_overrides(raw, sets))

@@ -2,11 +2,11 @@
 
 IDX files are parsed bit-exactly: 4-byte big-endian magic (0x00000803 for
 images, 0x00000801 for labels), big-endian 4-byte dimension sizes, then the
-raw payload bytes. Images are kept as uint8 grids; `encode_image` maps
-pixels to floats in [0, 1] by dividing by 255. This package never
-recentres inputs to [-1, 1]: the choice only rescales the effective regime
-of the stretch parameter `a` in the first layer, but it must be held fixed
-for sweep results to be comparable.
+raw payload bytes. Images are kept as uint8 grids; `encode_dataset`
+flattens each row-major and maps pixels to floats in [0, 1] by dividing
+by 255. This package never recentres inputs to [-1, 1]: the choice only
+rescales the effective regime of the stretch parameter `a` in the first
+layer, but it must be held fixed for sweep results to be comparable.
 """
 
 from __future__ import annotations
@@ -152,12 +152,8 @@ def subset(dataset: RawDataset, n: int, seed: int) -> RawDataset:
     return RawDataset(images=dataset.images[idx], labels=dataset.labels[idx])
 
 
-def encode_image(image: np.ndarray) -> np.ndarray:
-    """Flatten a pixel grid row-major and scale to [0, 1] (pixel / 255)."""
-    return np.asarray(image, dtype=np.float64).reshape(-1) / 255.0
-
-
 def encode_dataset(dataset: RawDataset) -> EncodedDataset:
+    """Flatten each image row-major and scale to [0, 1] (pixel / 255)."""
     n = dataset.count
     m = int(np.prod(dataset.images.shape[1:]))
     X = dataset.images.reshape(n, m).astype(np.float64) / 255.0
@@ -180,15 +176,7 @@ class BatchPlan:
         return cls(epoch_seed=epoch_seed, batch_size=batch_size, order=order)
 
     def batches(self):
+        """Index arrays of `batch_size` samples in order; the last may be shorter."""
         for start in range(0, len(self.order), self.batch_size):
             yield self.order[start : start + self.batch_size]
 
-
-def shuffled_batches(dataset, batch_size: int, epoch_seed: int):
-    """Index batches covering a seed-determined permutation of the dataset.
-
-    All batches have `batch_size` indices except possibly the last.
-    `dataset` may be a RawDataset/EncodedDataset or a plain sample count.
-    """
-    count = dataset if isinstance(dataset, int) else dataset.count
-    return list(BatchPlan.make(count, batch_size, epoch_seed).batches())

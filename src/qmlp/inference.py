@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EncodedDataset
-from .network import NetworkParams, classical_forward, classical_forward_batch
-from .quantum import QuantumConfig, quantum_forward, quantum_forward_batch
+from .network import NetworkParams, classical_forward_batch
+from .quantum import QuantumConfig, quantum_forward_batch
 from .rng import EVAL, substream
 
 _EVAL_CHUNK = 512
@@ -47,44 +47,8 @@ class InferencePolicy:
         return cls(mode="multi_shot", shots=shots, seed=seed)
 
 
-def predict_deterministic(params: NetworkParams, x: np.ndarray) -> int:
-    """Argmax of the classical-limit output; ties go to the lowest class."""
-    return int(np.argmax(classical_forward(params, x).f))
-
-
-def modal_class(preds, num_classes: int) -> int:
-    """Most common prediction; ties resolve to the lowest class index."""
-    counts = np.bincount(np.asarray(preds, dtype=np.int64), minlength=num_classes)
-    return int(np.argmax(counts))
-
-
-def _shot_seeds(rng: np.random.Generator, shots: int) -> np.ndarray:
-    # one uint64 word per shot, consumed in shot order
-    return rng.integers(0, _SEED_HIGH, size=shots, dtype=np.uint64)
-
-
-def predict_mode(
-    params: NetworkParams,
-    x: np.ndarray,
-    cfg: QuantumConfig,
-    shots: int,
-    rng: np.random.Generator,
-) -> int:
-    """Modal argmax over `shots` stochastic forward passes.
-
-    Each shot runs on its own child generator seeded from one uint64 draw,
-    so shot j is reproducible independently of the others.
-    """
-    seeds = _shot_seeds(rng, shots)
-    preds = [
-        int(np.argmax(quantum_forward(params, x, cfg, np.random.default_rng(int(s))).f))
-        for s in seeds
-    ]
-    return modal_class(preds, params.output_size)
-
-
 def predict_batch_deterministic(params: NetworkParams, X: np.ndarray) -> np.ndarray:
-    """Deterministic class predictions for rows of X (n, M)."""
+    """Argmax of the classical-limit output for rows of X (n, M); ties go to the lowest class."""
     out = np.empty(len(X), dtype=np.int64)
     for start in range(0, len(X), _EVAL_CHUNK):
         F = classical_forward_batch(params, X[start : start + _EVAL_CHUNK].T).F
@@ -101,15 +65,16 @@ def prediction_matrix(
 ) -> np.ndarray:
     """(n, shots) stochastic predictions with per-(sample, shot) substreams.
 
-    Sample i's shot seeds are the uint64 draws of substream(seed, EVAL, i),
-    exactly what predict_mode consumes given that generator; column j of a
-    row therefore reproduces that sample's j-th shot. Sorting or batching
-    the samples differently cannot change the matrix.
+    Shot j of sample i runs on default_rng(s_ij), where s_ij is the j-th
+    uint64 draw of substream(seed, EVAL, i). Shot j is therefore
+    reproducible on its own, the first k columns do not depend on `shots`,
+    and sorting or batching the samples differently cannot change the
+    matrix.
     """
     n = data.count
     seeds = np.empty((n, shots), dtype=np.uint64)
     for i in range(n):
-        seeds[i] = _shot_seeds(substream(seed, EVAL, i), shots)
+        seeds[i] = substream(seed, EVAL, i).integers(0, _SEED_HIGH, size=shots, dtype=np.uint64)
     preds = np.empty((n, shots), dtype=np.int64)
     for start in range(0, n, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, n)
@@ -122,7 +87,7 @@ def prediction_matrix(
 
 
 def mode_over_shots(preds: np.ndarray, num_classes: int) -> np.ndarray:
-    """Row-wise modal class of a (n, shots) prediction matrix."""
+    """Row-wise modal class of a (n, shots) prediction matrix; ties go to the lowest class."""
     n, shots = preds.shape
     counts = np.zeros((n, num_classes), dtype=np.int64)
     rows = np.arange(n)

@@ -40,29 +40,6 @@ class NetworkParams:
     def hidden_widths(self) -> list:
         return [w.shape[0] for w in self.W[:-1]]
 
-    def validate(self):
-        for k in range(1, len(self.W)):
-            if self.W[k].shape[1] != self.W[k - 1].shape[0]:
-                raise ShapeMismatch(
-                    f"W[{k}] has {self.W[k].shape[1]} columns but layer "
-                    f"{k} is {self.W[k - 1].shape[0]} wide"
-                )
-        for k, w in enumerate(self.W):
-            if not np.all(np.isfinite(w)):
-                raise ValueError(f"W[{k}] contains non-finite entries")
-
-    def copy(self) -> "NetworkParams":
-        return NetworkParams([w.copy() for w in self.W])
-
-
-@dataclass
-class ForwardTrace:
-    """Per-layer preactivations z[k] = W[k] @ d[k], activations d, output f."""
-
-    z: list
-    d: list
-    f: np.ndarray
-
 
 Gradients = list  # matrices shaped like NetworkParams.W
 
@@ -97,102 +74,18 @@ def htanh(x):
     return np.clip(x, -1.0, 1.0)
 
 
-def _check_input(params: NetworkParams, d0: np.ndarray):
-    if d0.shape[0] != params.input_size:
-        raise ShapeMismatch(
-            f"input has length {d0.shape[0]}, network expects {params.input_size}"
-        )
-
-
-def classical_forward(params: NetworkParams, d0: np.ndarray) -> ForwardTrace:
-    """Deterministic binarized forward pass: d[k] = sign(W[k-1] d[k-1])."""
-    d0 = np.asarray(d0, dtype=np.float64)
-    _check_input(params, d0)
-    z_list, d_list = [], [d0]
-    for k in range(params.num_hidden_layers):
-        z = params.W[k] @ d_list[k]
-        z_list.append(z)
-        d_list.append(sign(z))
-    f = params.W[-1] @ d_list[-1]
-    return ForwardTrace(z=z_list, d=d_list, f=f)
-
-
-def relaxed_forward(params: NetworkParams, d0: np.ndarray, bp_scale: float = 1.0) -> ForwardTrace:
-    """Forward pass with the backward surrogate htanh(z / bp_scale) as activation.
-
-    This is the network whose analytic gradient ste_backward computes; it
-    exists so gradients can be checked against finite differences.
-    """
-    d0 = np.asarray(d0, dtype=np.float64)
-    _check_input(params, d0)
-    z_list, d_list = [], [d0]
-    for k in range(params.num_hidden_layers):
-        z = params.W[k] @ d_list[k]
-        z_list.append(z)
-        d_list.append(htanh(z / bp_scale))
-    f = params.W[-1] @ d_list[-1]
-    return ForwardTrace(z=z_list, d=d_list, f=f)
-
-
-def softmax_cross_entropy(f: np.ndarray, label: int):
-    """Loss -log softmax(f)[label] and its gradient softmax(f) - onehot(label).
-
-    Max-subtraction keeps the exponentials finite for any finite f.
-    """
-    shifted = f - np.max(f)
-    exp = np.exp(shifted)
-    total = exp.sum()
-    loss = np.log(total) - shifted[label]
-    df = exp / total
-    df[label] -= 1.0
-    return loss, df
-
-
-def ste_backward(
-    params: NetworkParams,
-    trace: ForwardTrace,
-    df: np.ndarray,
-    bp_scale: float = 1.0,
-) -> Gradients:
-    """Dense backprop through the trace with the clipped straight-through rule.
-
-    The activation derivative at layer k is 1/bp_scale where
-    |z[k]| <= bp_scale and 0 elsewhere. Sampled activations in the trace
-    are used as-is, so the same routine serves classical, relaxed, and
-    quantum traces.
-    """
-    if df.shape[0] != params.output_size:
-        raise ShapeMismatch(
-            f"df has length {df.shape[0]}, network outputs {params.output_size}"
-        )
-    L = params.num_hidden_layers
-    grads: Gradients = [None] * len(params.W)
-    grads[L] = np.outer(df, trace.d[L])
-    err = params.W[L].T @ df
-    for k in range(L, 0, -1):
-        dphi = (np.abs(trace.z[k - 1]) <= bp_scale) / bp_scale
-        delta = err * dphi
-        grads[k - 1] = np.outer(delta, trace.d[k - 1])
-        if k > 1:
-            err = params.W[k - 1].T @ delta
-    return grads
-
-
-# --- batched variants -------------------------------------------------------
-#
-# Column-major batches: D0 is (M, B), every z/d is (width, B). Training and
-# evaluation use these for speed; they are tested to agree with the
-# per-sample operations above (bitwise on activations).
-
-
 @dataclass
 class BatchTrace:
+    """Column-major forward trace of a batch: Z[k] = W[k] @ D[k], D[0] is the
+    (M, B) input, every Z/D is (width, B), and F the (P, B) output."""
+
     Z: list
     D: list
     F: np.ndarray
 
 
 def classical_forward_batch(params: NetworkParams, D0: np.ndarray) -> BatchTrace:
+    """Deterministic binarized forward pass: D[k] = sign(W[k-1] D[k-1])."""
     if D0.shape[0] != params.input_size:
         raise ShapeMismatch(
             f"batch has {D0.shape[0]} features, network expects {params.input_size}"
@@ -207,7 +100,11 @@ def classical_forward_batch(params: NetworkParams, D0: np.ndarray) -> BatchTrace
 
 
 def softmax_cross_entropy_batch(F: np.ndarray, y: np.ndarray):
-    """Per-sample losses (B,) and output gradients dF (P, B)."""
+    """Per-sample losses -log softmax(F)[y] (B,) and gradients dF (P, B).
+
+    dF = softmax(F) - onehot(y) per column; max-subtraction keeps the
+    exponentials finite for any finite F.
+    """
     shifted = F - F.max(axis=0, keepdims=True)
     exp = np.exp(shifted)
     total = exp.sum(axis=0)
@@ -224,9 +121,19 @@ def ste_backward_batch(
     dF: np.ndarray,
     bp_scale: float = 1.0,
 ) -> Gradients:
-    """Mean-over-batch gradients matching ste_backward on each column."""
+    """Mean over the batch of per-sample clipped straight-through gradients.
+
+    The activation derivative at layer k is 1/bp_scale where
+    |Z[k]| <= bp_scale and 0 elsewhere. The sampled activations in the trace
+    are used as-is, so classical and quantum traces share this backward.
+    """
+    B = trace.D[0].shape[1]
+    if dF.shape != (params.output_size, B):
+        raise ShapeMismatch(
+            f"dF has shape {dF.shape}, expected {(params.output_size, B)} "
+            f"(network outputs x batch)"
+        )
     L = params.num_hidden_layers
-    B = dF.shape[1]
     grads: Gradients = [None] * len(params.W)
     grads[L] = (dF @ trace.D[L].T) / B
     err = params.W[L].T @ dF

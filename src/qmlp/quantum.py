@@ -32,27 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ForwardTrace, BatchTrace, NetworkParams, ShapeMismatch, sign
+from .network import BatchTrace, NetworkParams, ShapeMismatch, sign
 
 HALF_PI = np.pi / 2
-
-
-@dataclass
-class QubitState:
-    """Real amplitudes of |0> and |1>."""
-
-    alpha: float
-    beta: float
-
-    def norm_sq(self) -> float:
-        return self.alpha * self.alpha + self.beta * self.beta
-
-    def z_expectation(self) -> float:
-        return self.alpha * self.alpha - self.beta * self.beta
-
-
-KET_0 = QubitState(1.0, 0.0)
-KET_1 = QubitState(0.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -73,27 +55,11 @@ class QuantumConfig:
         return self.a == 0.0 and self.g == HALF_PI
 
 
-@dataclass
-class MeasurementOutcome:
-    d: int
-    post_state: QubitState
-
-
 def phi_a(x, a: float):
     """Stretched activation htanh(x / a); the a -> 0 limit is sign(x)."""
     if a == 0.0:
         return sign(x)
     return np.clip(np.asarray(x, dtype=np.float64) / a, -1.0, 1.0)
-
-
-def rotation_angle(k: int, d_prev: float, preact: float, a: float) -> float:
-    """Rotation angle for a layer-k neuron.
-
-    Layer 1 rotates away from the fresh |0> state (base term 1); deeper
-    layers rotate away from the previous measured activation d_prev.
-    """
-    base = 1.0 if k == 1 else d_prev
-    return float(HALF_PI * (base - phi_a(preact, a)))
 
 
 def ry_update(alpha, beta, theta):
@@ -151,31 +117,6 @@ def weak_update(alpha, beta, sin_g, u):
     return d, out_a, out_b
 
 
-def apply_ry(state: QubitState, theta: float) -> QubitState:
-    """Rotate a single qubit about the y-axis by theta."""
-    a, b = ry_update(state.alpha, state.beta, theta)
-    return QubitState(float(a), float(b))
-
-
-def projective_measure(state: QubitState, rng: np.random.Generator) -> MeasurementOutcome:
-    """Sample d = +1 with probability alpha^2; collapse to the matching basis state.
-
-    Consumes exactly one uniform draw.
-    """
-    d, a, b = projective_update(state.alpha, state.beta, rng.random())
-    return MeasurementOutcome(d=int(d), post_state=QubitState(float(a), float(b)))
-
-
-def weak_measure(state: QubitState, g: float, rng: np.random.Generator) -> MeasurementOutcome:
-    """Weakly measure via an ancilla entangled at angle g; one uniform draw.
-
-    g = pi/2 reproduces a projective measurement; g = 0 leaves the state
-    untouched and returns a fair coin.
-    """
-    d, a, b = weak_update(state.alpha, state.beta, np.sin(g), rng.random())
-    return MeasurementOutcome(d=int(d), post_state=QubitState(float(a), float(b)))
-
-
 def _check_hidden_widths(params: NetworkParams):
     widths = params.hidden_widths()
     if widths and any(w != widths[0] for w in widths):
@@ -184,59 +125,20 @@ def _check_hidden_widths(params: NetworkParams):
         )
 
 
-def quantum_forward(
-    params: NetworkParams,
-    d0: np.ndarray,
-    cfg: QuantumConfig,
-    rng: np.random.Generator,
-) -> ForwardTrace:
-    """Forward pass with one qubit per hidden neuron, reused across layers.
-
-    Qubits start in |0>. Per layer: rotate each qubit by the angle computed
-    from the previous measured activations, then measure it (projectively
-    when g = pi/2, weakly otherwise); the outcomes are the layer's
-    activations. Uniform draws are consumed layer-major, neuron ascending.
-    """
-    d0 = np.asarray(d0, dtype=np.float64)
-    if d0.shape[0] != params.input_size:
-        raise ShapeMismatch(
-            f"input has length {d0.shape[0]}, network expects {params.input_size}"
-        )
-    _check_hidden_widths(params)
-    L = params.num_hidden_layers
-    projective = cfg.g == HALF_PI
-    sin_g = np.sin(cfg.g)
-    z_list, d_list = [], [d0]
-    if L:
-        n = params.W[0].shape[0]
-        alpha = np.ones(n)
-        beta = np.zeros(n)
-    for k in range(1, L + 1):
-        z = params.W[k - 1] @ d_list[k - 1]
-        base = 1.0 if k == 1 else d_list[k - 1]
-        theta = HALF_PI * (base - phi_a(z, cfg.a))
-        alpha, beta = ry_update(alpha, beta, theta)
-        u = rng.random(n)
-        if projective:
-            d, alpha, beta = projective_update(alpha, beta, u)
-        else:
-            d, alpha, beta = weak_update(alpha, beta, sin_g, u)
-        z_list.append(z)
-        d_list.append(d)
-    f = params.W[-1] @ d_list[-1]
-    return ForwardTrace(z=z_list, d=d_list, f=f)
-
-
 def quantum_forward_batch(
     params: NetworkParams,
     D0: np.ndarray,
     cfg: QuantumConfig,
     sample_rngs,
 ) -> BatchTrace:
-    """Batched quantum_forward over columns of D0 (M, B).
+    """Forward pass with one qubit per hidden neuron, reused across layers.
 
-    Column s consumes draws from sample_rngs[s] in exactly the order
-    quantum_forward would, so the two paths produce identical activations.
+    Columns of D0 (M, B) are samples. Qubits start in |0>. Per layer: rotate
+    each qubit by the angle computed from the previous measured activations,
+    then measure it (projectively when g = pi/2, weakly otherwise); the
+    outcomes are the layer's activations. Column s draws L * n uniforms from
+    sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
+    activations do not depend on the batch it is in.
     """
     if D0.shape[0] != params.input_size:
         raise ShapeMismatch(

@@ -8,10 +8,12 @@ owns one output directory containing:
     checkpoint.qckpt  final weights + optimizer state (deterministic bytes)
     result.json     summary row for the sweep CSV (includes wall time)
 
-A cell whose result.json already exists is skipped wholesale, so re-running
-a finished sweep rewrites nothing and a crashed sweep resumes where it
-stopped. Cells are independent, which is what makes --threads > 1 safe and
-result-invariant.
+checkpoint.qckpt and result.json are written through a temporary file and
+a rename, and result.json last. A cell whose result.json already exists is
+skipped wholesale, so re-running a finished sweep rewrites nothing and a
+crashed sweep resumes where it stopped; a result.json that does not parse
+raises ResultCorrupt. Cells are independent, which is what makes
+--threads > 1 safe and result-invariant.
 """
 
 from __future__ import annotations
@@ -22,14 +24,18 @@ from concurrent.futures import ProcessPoolExecutor
 from functools import lru_cache
 from pathlib import Path
 
-from .checkpoint import save_checkpoint
+from .checkpoint import save_checkpoint, write_atomic
 from .config import RunConfig
 from .data import encode_dataset, load_raw_dataset, subset
 from .inference import InferencePolicy, evaluate
 from .rng import mix64
-from .training import OptimizerState, train, training_error
+from .training import train, training_error
 
 CSV_HEADER = "a,g,seed,final_val_error,final_train_error,best_val_error,wall_time_s"
+
+
+class ResultCorrupt(ValueError):
+    """A run directory's result.json exists but does not parse."""
 
 
 @lru_cache(maxsize=4)
@@ -70,7 +76,12 @@ def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
     out_dir = Path(out_dir)
     result_path = out_dir / "result.json"
     if resume and result_path.exists():
-        return json.loads(result_path.read_text())
+        try:
+            return json.loads(result_path.read_text())
+        except ValueError as exc:
+            raise ResultCorrupt(
+                f"{result_path}: unreadable ({exc}); delete it to re-run this job"
+            ) from exc
     out_dir.mkdir(parents=True, exist_ok=True)
     train_set, val_set = load_datasets(cfg)
 
@@ -90,7 +101,7 @@ def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
     save_checkpoint(
         out_dir / "checkpoint.qckpt",
         metrics.params,
-        OptimizerState.zeros_like(metrics.params),
+        metrics.opt,
         epoch=cfg.hyper.epochs,
         meta={"a": cfg.hyper.quantum.a, "g": cfg.hyper.quantum.g, "seed": cfg.hyper.seed},
     )
@@ -110,7 +121,7 @@ def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
         "wall_time_s": wall,
         "epochs": cfg.hyper.epochs,
     }
-    result_path.write_text(json.dumps(result, sort_keys=True) + "\n")
+    write_atomic(result_path, (json.dumps(result, sort_keys=True) + "\n").encode("utf-8"))
     return result
 
 

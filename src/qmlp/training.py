@@ -94,6 +94,7 @@ class EpochRecord:
 class RunMetrics:
     records: list
     params: NetworkParams
+    opt: OptimizerState
 
 
 def sgd_momentum_step(
@@ -125,9 +126,9 @@ def _sample_rngs(seed: int, epoch: int, batch: int, count: int):
     return [substream(seed, FORWARD, epoch, batch, s) for s in range(count)]
 
 
-def _batch_gradients(params, X, y, cfg, seed, epoch, batch_idx, bp_scale, force_quantum=False):
+def _batch_gradients(params, X, y, cfg, seed, epoch, batch_idx, bp_scale):
     D0 = X.T
-    if cfg.is_classical and not force_quantum:
+    if cfg.is_classical:
         trace = classical_forward_batch(params, D0)
     else:
         rngs = _sample_rngs(seed, epoch, batch_idx, X.shape[0])
@@ -143,15 +144,13 @@ def train(
     val_set: EncodedDataset,
     eval_policy: InferencePolicy | None = None,
     on_epoch=None,
-    _force_quantum_path: bool = False,
 ) -> RunMetrics:
     """Train a network from scratch; a pure function of (hyper, datasets).
 
     `eval_policy` controls the per-epoch validation measurement (default
     deterministic). `on_epoch` is called with each EpochRecord as it is
-    produced, e.g. to append to a metrics log. `_force_quantum_path` routes
-    classical configurations through the quantum sampler; it exists so the
-    classical-limit equality of the two code paths can be tested.
+    produced, e.g. to append to a metrics log. The result holds the final
+    weights and optimizer state.
     """
     hyper.validate()
     if train_set.count == 0 and hyper.epochs > 0:
@@ -185,7 +184,6 @@ def train(
                 epoch,
                 batch_idx,
                 hyper.bp_scale,
-                force_quantum=_force_quantum_path,
             )
             sgd_momentum_step(params, opt, grads, hyper.learning_rate, hyper.momentum)
             loss_sum += float(losses.sum())
@@ -198,4 +196,4 @@ def train(
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)
-    return RunMetrics(records=records, params=params)
+    return RunMetrics(records=records, params=params, opt=opt)

@@ -18,17 +18,11 @@ import pytest
 from qmlp.checkpoint import load_checkpoint
 from qmlp.config import DataConfig, RunConfig
 from qmlp.inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
-from qmlp.network import (
-    classical_forward,
-    init_network_params,
-    relaxed_forward,
-    softmax_cross_entropy,
-    ste_backward,
-)
+from qmlp.network import classical_forward_batch, init_network_params
 from qmlp.quantum import (
     HALF_PI,
     QuantumConfig,
-    quantum_forward,
+    quantum_forward_batch,
     ry_update,
     weak_update,
 )
@@ -36,9 +30,9 @@ from qmlp.sweep import load_datasets, run_cells, run_training_job, write_sweep_c
 from qmlp.training import Hyperparams
 
 from conftest import mnist_dir
+from oracles import relaxed_forward, weak_measure_oracle
 from synthdigits import write_idx_pair
-from test_network import finite_difference_grads, relative_error
-from test_quantum import weak_measure_oracle
+from test_network import finite_difference_grads, relative_error, ste_backward_one
 
 A_LOW = 10.0**-0.5
 A_HIGH = 10.0**0.5
@@ -50,7 +44,7 @@ def _report(criterion: int, ok: bool, detail: str):
 
 
 def test_criterion_1_classical_limit_equality():
-    """quantum_forward(a=0, g=pi/2) is bitwise classical for 1000 triples."""
+    """quantum_forward_batch(a=0, g=pi/2) is bitwise classical for 1000 triples."""
     rng = np.random.default_rng(1001)
     cfg = QuantumConfig(a=0.0, g=HALF_PI)
     checked = 0
@@ -59,13 +53,13 @@ def test_criterion_1_classical_limit_equality():
         params = init_network_params(6, 5, layers, 3, rng)
         x = rng.uniform(0, 1, size=6)
         seed = int(rng.integers(0, 1 << 63))
-        q = quantum_forward(params, x, cfg, np.random.default_rng(seed))
-        c = classical_forward(params, x)
-        for dq, dc in zip(q.d, c.d):
+        q = quantum_forward_batch(params, x[:, None], cfg, [np.random.default_rng(seed)])
+        c = classical_forward_batch(params, x[:, None])
+        for dq, dc in zip(q.D, c.D):
             assert np.array_equal(dq, dc)
-        for zq, zc in zip(q.z, c.z):
+        for zq, zc in zip(q.Z, c.Z):
             assert np.array_equal(zq, zc)
-        assert np.array_equal(q.f, c.f)
+        assert np.array_equal(q.F, c.F)
         checked += 1
     _report(1, checked == 1000, f"{checked}/1000 random triples bitwise-identical (L in 1..3)")
 
@@ -146,16 +140,14 @@ def test_criterion_3_flip_probability_law():
 
 
 def test_criterion_4_gradient_check():
-    """ste_backward matches central differences on 20 relaxed 8-8-8-4 nets."""
+    """ste_backward_batch matches central differences on 20 relaxed 8-8-8-4 nets."""
     rng = np.random.default_rng(1004)
     worst = 0.0
     for _ in range(20):
         params = init_network_params(8, 8, 2, 4, rng)
         x = rng.uniform(0, 1, size=8)
         label = int(rng.integers(0, 4))
-        trace = relaxed_forward(params, x)
-        _, df = softmax_cross_entropy(trace.f, label)
-        analytic = ste_backward(params, trace, df)
+        analytic = ste_backward_one(params, relaxed_forward(params, x), label)
         numeric = finite_difference_grads(params, x, label, step=1e-5)
         worst = max(worst, relative_error(analytic, numeric))
     _report(4, worst < 1e-4, f"max relative error {worst:.2e} < 1e-4 over 20 instances")

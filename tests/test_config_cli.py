@@ -1,10 +1,12 @@
 import json
 import math
 
+import numpy as np
 import pytest
 import yaml
 
-from qmlp.cli import main
+from qmlp.checkpoint import load_checkpoint
+from qmlp.cli import build_parser, main
 from qmlp.config import (
     apply_overrides,
     config_from_dict,
@@ -12,8 +14,8 @@ from qmlp.config import (
     parse_angle,
 )
 from qmlp.quantum import HALF_PI
-from qmlp.sweep import CSV_HEADER, run_training_job
-from qmlp.training import ConfigInvalid
+from qmlp.sweep import CSV_HEADER, ResultCorrupt, load_datasets, run_training_job
+from qmlp.training import ConfigInvalid, train
 
 
 class TestParseAngle:
@@ -91,6 +93,38 @@ class TestConfig:
         with pytest.raises(ConfigInvalid):
             apply_overrides({}, ["no_equals_sign"])
 
+    def test_no_path_means_defaults_plus_overrides(self):
+        cfg = load_config(None, ["training.epochs=3", "quantum.g=pi/4"])
+        default = config_from_dict({})
+        assert cfg.hyper.epochs == 3
+        assert cfg.hyper.quantum.g == math.pi / 4
+        assert cfg.hyper.hidden_size == default.hyper.hidden_size
+        assert cfg.policy == default.policy
+        assert load_config() == default
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["train", "--threads", "2"],
+            ["eval", "--checkpoint", "c.qckpt", "--threads", "2"],
+            ["fetch-check", "--threads", "2"],
+            ["eval", "--checkpoint", "c.qckpt", "--seed", "3"],
+            ["fetch-check", "--out", "somewhere"],
+            ["fetch-check", "--seed", "3"],
+        ],
+    )
+    def test_ignored_options_are_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_sweep_takes_threads(self):
+        args = build_parser().parse_args(["sweep", "--threads", "2", "--seed", "4"])
+        assert (args.threads, args.seed) == (2, 4)
+
 
 def write_desk_config(tmp_path, idx_dir, **training):
     base = {
@@ -145,6 +179,36 @@ class TestTrainJob:
 
         _, _, _, meta = load_checkpoint(ckpt)
         assert meta["seed"] == 99
+
+    def test_checkpoint_holds_final_optimizer_state(self, tmp_path, small_idx_dir):
+        cfg = load_config(write_desk_config(tmp_path, small_idx_dir, epochs=2))
+        cfg = cfg.with_quantum(0.5, HALF_PI, seed=3)
+        expected = train(cfg.hyper, *load_datasets(cfg)).opt.velocity
+        blobs = []
+        for name in ("run1", "run2"):
+            run_training_job(cfg, tmp_path / name)
+            blobs.append((tmp_path / name / "checkpoint.qckpt").read_bytes())
+        assert blobs[0] == blobs[1]
+        _, opt, epoch, _ = load_checkpoint(tmp_path / "run1" / "checkpoint.qckpt")
+        assert epoch == 2
+        for v, e in zip(opt.velocity, expected):
+            assert np.array_equal(v, e)
+            assert np.any(v != 0.0)
+        assert sorted(p.name for p in (tmp_path / "run1").iterdir()) == [
+            "checkpoint.qckpt", "metrics.jsonl", "result.json"
+        ]
+
+    def test_torn_result_is_a_named_error(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        result = tmp_path / "out" / "result.json"
+        result.write_bytes(result.read_bytes()[:20])
+        with pytest.raises(ResultCorrupt):
+            run_training_job(load_config(cfg_path), tmp_path / "out")
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "result.json" in err
 
     def test_missing_data_file_reports_context(self, tmp_path, capsys):
         cfg_path = write_desk_config(tmp_path, tmp_path / "nowhere")

@@ -5,6 +5,7 @@ import pytest
 
 from qmlp.data import (
     IMAGE_MAGIC,
+    BatchPlan,
     LABEL_MAGIC,
     LabelOutOfRange,
     MagicMismatch,
@@ -12,12 +13,10 @@ from qmlp.data import (
     SubsetTooLarge,
     TruncatedFile,
     encode_dataset,
-    encode_image,
     parse_idx_images,
     parse_idx_labels,
     serialize_idx_images,
     serialize_idx_labels,
-    shuffled_batches,
     subset,
 )
 
@@ -31,6 +30,16 @@ def image_bytes(n, rows=28, cols=28, fill=None, rng=None):
     else:
         payload = bytes([fill or 0]) * (n * rows * cols)
     return header + payload
+
+
+def encode_image(image):
+    """encode_dataset on a one-image dataset: the image's input vector."""
+    ds = RawDataset(images=np.asarray(image)[None], labels=np.zeros(1, dtype=np.int64))
+    return encode_dataset(ds).X[0]
+
+
+def shuffled_batches(count, batch_size, epoch_seed):
+    return list(BatchPlan.make(count, batch_size, epoch_seed).batches())
 
 
 def label_bytes(labels):
@@ -185,7 +194,9 @@ class TestBatches:
             images=np.zeros((10, 2, 2), dtype=np.uint8),
             labels=np.zeros(10, dtype=np.int64),
         )
-        assert len(shuffled_batches(ds, 4, epoch_seed=1)) == 3
+        plan = BatchPlan.make(ds.count, 4, epoch_seed=1)
+        assert [len(b) for b in plan.batches()] == [4, 4, 2]
+        assert np.array_equal(np.concatenate(list(plan.batches())), plan.order)
 
 
 @pytest.mark.skipif(mnist_dir() is None, reason="real MNIST IDX files not available")

@@ -6,17 +6,14 @@ from qmlp.inference import (
     EmptyDataset,
     InferencePolicy,
     evaluate,
-    modal_class,
     mode_over_shots,
     predict_batch_deterministic,
-    predict_deterministic,
-    predict_mode,
     prediction_matrix,
 )
 from qmlp.network import NetworkParams, init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig
-from qmlp.rng import EVAL, substream
 
+from oracles import classical_forward, shot_predictions
 from synthdigits import make_raw_dataset
 
 
@@ -26,34 +23,44 @@ def const_net(logits):
     return NetworkParams([np.diag(f)]), np.ones(len(f))
 
 
+def predict_one(params, x):
+    return int(predict_batch_deterministic(params, np.asarray(x)[None, :])[0])
+
+
+def one_sample(x):
+    X = np.asarray(x, dtype=np.float64)[None, :]
+    return EncodedDataset(X=X, y=np.zeros(1, dtype=np.int64))
+
+
 class TestDeterministic:
     def test_repeatable(self):
         params = init_network_params(5, 4, 2, 3, np.random.default_rng(0))
         x = np.random.default_rng(1).uniform(0, 1, size=5)
-        assert predict_deterministic(params, x) == predict_deterministic(params, x)
+        assert predict_one(params, x) == predict_one(params, x)
 
     def test_unique_max(self):
         params, x = const_net([0.0, 1.0, 5.0, 3.0, 2.0])
-        assert predict_deterministic(params, x) == 2
+        assert predict_one(params, x) == 2
 
     def test_tie_breaks_to_lowest_index(self):
         params, x = const_net([2.0, 2.0, 2.0])
-        assert predict_deterministic(params, x) == 0
+        assert predict_one(params, x) == 0
 
     def test_batch_matches_scalar(self):
         params = init_network_params(6, 4, 2, 5, np.random.default_rng(2))
         X = np.random.default_rng(3).uniform(0, 1, size=(20, 6))
         batch = predict_batch_deterministic(params, X)
         for i in range(20):
-            assert batch[i] == predict_deterministic(params, X[i])
+            assert batch[i] == predict_one(params, X[i])
+            assert batch[i] == int(np.argmax(classical_forward(params, X[i]).f))
 
 
 class TestModalClass:
     def test_simple_majority(self):
-        assert modal_class([1, 1, 2], 4) == 1
+        assert mode_over_shots(np.array([[1, 1, 2]]), 4).tolist() == [1]
 
     def test_even_shot_tie_prefers_lowest(self):
-        assert modal_class([3, 1, 3, 1], 5) == 1
+        assert mode_over_shots(np.array([[3, 1, 3, 1]]), 5).tolist() == [1]
 
     def test_odd_shots_two_way_tie_impossible(self):
         rng = np.random.default_rng(4)
@@ -70,35 +77,28 @@ class TestModalClass:
 class TestPredictMode:
     def test_classical_config_equals_deterministic(self):
         params = init_network_params(6, 5, 2, 4, np.random.default_rng(5))
-        rng = np.random.default_rng(6)
-        cfg = QuantumConfig(a=0.0, g=HALF_PI)
-        for _ in range(10):
-            x = rng.uniform(0, 1, size=6)
-            assert predict_mode(params, x, cfg, 7, rng) == predict_deterministic(params, x)
+        X = np.random.default_rng(6).uniform(0, 1, size=(10, 6))
+        data = EncodedDataset(X=X, y=np.zeros(10, dtype=np.int64))
+        matrix = prediction_matrix(params, data, QuantumConfig(a=0.0, g=HALF_PI), 7, seed=6)
+        modal = mode_over_shots(matrix, params.output_size)
+        assert np.array_equal(modal, predict_batch_deterministic(params, X))
 
     def test_single_shot_is_single_stochastic_pass(self):
-        from qmlp.quantum import quantum_forward
-
         params = init_network_params(6, 5, 2, 4, np.random.default_rng(7))
         x = np.random.default_rng(8).uniform(0, 1, size=6)
         cfg = QuantumConfig(a=0.8)
-        rng = np.random.default_rng(9)
-        got = predict_mode(params, x, cfg, 1, rng)
-        ctrl = np.random.default_rng(9)
-        seed = int(ctrl.integers(0, 1 << 64, size=1, dtype=np.uint64)[0])
-        trace = quantum_forward(params, x, cfg, np.random.default_rng(seed))
-        assert got == int(np.argmax(trace.f))
+        got = prediction_matrix(params, one_sample(x), cfg, 1, seed=9)
+        assert got.tolist() == [shot_predictions(params, x, cfg, 1, seed=9, index=0)]
 
     def test_shots_consume_uint64_stream(self):
+        # shot j of sample i runs on the j-th uint64 of substream(seed, EVAL, i)
         params = init_network_params(6, 5, 1, 4, np.random.default_rng(10))
-        x = np.random.default_rng(11).uniform(0, 1, size=6)
-        rng = np.random.default_rng(12)
-        ctrl = np.random.default_rng(12)
-        ctrl.integers(0, 1 << 64, size=5, dtype=np.uint64)
-        predict_mode(params, x, QuantumConfig(a=0.5), 5, rng)
-        assert rng.integers(0, 1 << 64, dtype=np.uint64) == ctrl.integers(
-            0, 1 << 64, dtype=np.uint64
-        )
+        X = np.random.default_rng(11).uniform(0, 1, size=(3, 6))
+        data = EncodedDataset(X=X, y=np.zeros(3, dtype=np.int64))
+        cfg = QuantumConfig(a=0.5)
+        matrix = prediction_matrix(params, data, cfg, 5, seed=12)
+        for i in range(3):
+            assert matrix[i].tolist() == shot_predictions(params, X[i], cfg, 5, seed=12, index=i)
 
 
 class TestEvaluate:
@@ -161,9 +161,11 @@ class TestPredictionMatrix:
         cfg = QuantumConfig(a=0.6, g=1.2)
         shots, seed = 5, 42
         matrix = prediction_matrix(params, data, cfg, shots, seed)
+        modal = mode_over_shots(matrix, 10)
         for i in range(data.count):
-            got = predict_mode(params, data.X[i], cfg, shots, substream(seed, EVAL, i))
-            assert modal_class(matrix[i], 10) == got
+            ref = shot_predictions(params, data.X[i], cfg, shots, seed, index=i)
+            assert matrix[i].tolist() == ref
+            assert modal[i] == np.argmax(np.bincount(ref, minlength=10))
 
     def test_prefix_consistency(self):
         # the first k columns are the same run regardless of requested shots

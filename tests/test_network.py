@@ -1,20 +1,36 @@
 import numpy as np
 import pytest
+from scipy.special import log_softmax
 
 from qmlp.network import (
     NetworkParams,
     ShapeMismatch,
-    classical_forward,
     classical_forward_batch,
     htanh,
     init_network_params,
-    relaxed_forward,
     sign,
-    softmax_cross_entropy,
     softmax_cross_entropy_batch,
-    ste_backward,
     ste_backward_batch,
 )
+
+from oracles import (
+    as_column,
+    classical_forward,
+    relaxed_forward,
+    softmax_cross_entropy,
+    ste_backward,
+)
+
+
+def forward_one(params, x):
+    """classical_forward_batch on the one-column batch x."""
+    return classical_forward_batch(params, np.asarray(x, dtype=np.float64)[:, None])
+
+
+def loss_one(f, label):
+    """softmax_cross_entropy_batch on one output column: (loss, df)."""
+    losses, dF = softmax_cross_entropy_batch(np.asarray(f, dtype=np.float64)[:, None], [label])
+    return losses[0], dF[:, 0]
 
 
 class TestActivations:
@@ -43,43 +59,43 @@ class TestActivations:
 class TestForward:
     def test_single_neuron_chain(self):
         params = NetworkParams([np.array([[1.0]]), np.array([[2.0]])])
-        trace = classical_forward(params, np.array([0.3]))
-        assert trace.z[0].tolist() == [0.3]
-        assert trace.d[1].tolist() == [1.0]
-        assert trace.f.tolist() == [2.0]
+        trace = forward_one(params, np.array([0.3]))
+        assert trace.Z[0].tolist() == [[0.3]]
+        assert trace.D[1].tolist() == [[1.0]]
+        assert trace.F.tolist() == [[2.0]]
 
     def test_zero_weights_tie_break(self):
         params = NetworkParams([np.zeros((3, 2)), np.eye(3)])
-        trace = classical_forward(params, np.array([0.5, -0.5]))
-        assert trace.d[1].tolist() == [1.0, 1.0, 1.0]
+        trace = forward_one(params, np.array([0.5, -0.5]))
+        assert trace.D[1][:, 0].tolist() == [1.0, 1.0, 1.0]
 
     def test_two_input_example(self):
         params = NetworkParams([np.array([[1.0, -1.0]]), np.array([[1.0]])])
-        trace = classical_forward(params, np.array([0.2, 0.9]))
-        assert np.allclose(trace.z[0], [-0.7])
-        assert trace.d[1].tolist() == [-1.0]
+        trace = forward_one(params, np.array([0.2, 0.9]))
+        assert np.allclose(trace.Z[0][:, 0], [-0.7])
+        assert trace.D[1][:, 0].tolist() == [-1.0]
 
     def test_deterministic_no_rng(self):
         rng = np.random.default_rng(3)
         params = init_network_params(6, 5, 2, 3, rng)
-        x = rng.uniform(0, 1, size=6)
-        t1 = classical_forward(params, x)
-        t2 = classical_forward(params, x)
-        assert np.array_equal(t1.f, t2.f)
-        for d1, d2 in zip(t1.d, t2.d):
+        X = rng.uniform(0, 1, size=(6, 4))
+        t1 = classical_forward_batch(params, X)
+        t2 = classical_forward_batch(params, X)
+        assert np.array_equal(t1.F, t2.F)
+        for d1, d2 in zip(t1.D, t2.D):
             assert np.array_equal(d1, d2)
 
     def test_hidden_activations_are_signs(self):
         rng = np.random.default_rng(4)
         params = init_network_params(8, 6, 3, 4, rng)
-        trace = classical_forward(params, rng.uniform(0, 1, size=8))
-        for d in trace.d[1:]:
+        trace = classical_forward_batch(params, rng.uniform(0, 1, size=(8, 5)))
+        for d in trace.D[1:]:
             assert set(np.unique(d)).issubset({-1.0, 1.0})
 
     def test_shape_mismatch(self):
         params = init_network_params(6, 5, 1, 3, np.random.default_rng(0))
         with pytest.raises(ShapeMismatch):
-            classical_forward(params, np.zeros(7))
+            classical_forward_batch(params, np.zeros((7, 2)))
 
     def test_init_bounds(self):
         params = init_network_params(100, 50, 2, 10, np.random.default_rng(1))
@@ -89,7 +105,7 @@ class TestForward:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_case(self):
-        loss, df = softmax_cross_entropy(np.zeros(10), 3)
+        loss, df = loss_one(np.zeros(10), 3)
         assert np.isclose(loss, np.log(10))
         expected = np.full(10, 0.1)
         expected[3] -= 1.0
@@ -98,7 +114,7 @@ class TestSoftmaxCrossEntropy:
     def test_saturated_case(self):
         f = np.zeros(10)
         f[2] = 1000.0
-        loss, _ = softmax_cross_entropy(f, 2)
+        loss, _ = loss_one(f, 2)
         assert loss < 1e-12
         assert np.isfinite(loss)
 
@@ -106,21 +122,22 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(5)
         for _ in range(20):
             f = rng.normal(size=7) * 10
-            loss, df = softmax_cross_entropy(f, 0)
+            loss, df = loss_one(f, 0)
             probs = df.copy()
             probs[0] += 1.0
             assert np.isclose(probs.sum(), 1.0)
             assert np.isfinite(loss)
 
     def test_batch_matches_scalar(self):
+        # independent reference: scipy's log-softmax, column by column
         rng = np.random.default_rng(6)
-        F = rng.normal(size=(5, 9))
+        F = rng.normal(size=(5, 9)) * 10
         y = rng.integers(0, 5, size=9)
         losses, dF = softmax_cross_entropy_batch(F, y)
-        for j in range(9):
-            loss, df = softmax_cross_entropy(F[:, j], y[j])
-            assert np.isclose(losses[j], loss)
-            assert np.allclose(dF[:, j], df)
+        logp = log_softmax(F, axis=0)
+        onehot = np.eye(5)[:, y]
+        assert np.allclose(losses, -logp[y, np.arange(9)], rtol=0, atol=1e-12)
+        assert np.allclose(dF, np.exp(logp) - onehot, rtol=0, atol=1e-12)
 
 
 def finite_difference_grads(params, x, label, bp_scale=1.0, step=1e-5):
@@ -151,14 +168,20 @@ def relative_error(gs, hs):
     return num / den
 
 
+def ste_backward_one(params, trace, label, bp_scale=1.0):
+    """ste_backward_batch on a one-sample trace: the gradients of that sample."""
+    _, df = loss_one(trace.f, label)
+    return ste_backward_batch(params, as_column(trace), df[:, None], bp_scale)
+
+
 class TestSteBackward:
     def test_degenerate_linear_layer(self):
         # L = 0: dW is exactly the outer product of df and the input
         params = NetworkParams([np.array([[0.5, -0.2], [0.1, 0.3]])])
         x = np.array([0.7, -0.4])
         trace = classical_forward(params, x)
-        _, df = softmax_cross_entropy(trace.f, 1)
-        grads = ste_backward(params, trace, df)
+        _, df = loss_one(trace.f, 1)
+        grads = ste_backward_one(params, trace, 1)
         assert np.allclose(grads[0], np.outer(df, x))
 
     def test_fully_clipped_hidden_layers(self):
@@ -168,8 +191,8 @@ class TestSteBackward:
         x = np.array([0.9, 0.8, 0.7, 0.6])
         trace = classical_forward(params, x)
         assert all(np.all(np.abs(z) > 1) for z in trace.z)
-        _, df = softmax_cross_entropy(trace.f, 0)
-        grads = ste_backward(params, trace, df)
+        _, df = loss_one(trace.f, 0)
+        grads = ste_backward_one(params, trace, 0)
         assert np.allclose(grads[-1], np.outer(df, trace.d[-1]))
         for g in grads[:-1]:
             assert np.all(g == 0.0)
@@ -180,9 +203,7 @@ class TestSteBackward:
             params = init_network_params(8, 8, 2, 4, rng)
             x = rng.uniform(0, 1, size=8)
             label = int(rng.integers(0, 4))
-            trace = relaxed_forward(params, x)
-            _, df = softmax_cross_entropy(trace.f, label)
-            analytic = ste_backward(params, trace, df)
+            analytic = ste_backward_one(params, relaxed_forward(params, x), label)
             numeric = finite_difference_grads(params, x, label)
             assert relative_error(analytic, numeric) < 1e-4
 
@@ -191,16 +212,17 @@ class TestSteBackward:
         params = init_network_params(6, 5, 1, 3, rng)
         x = rng.uniform(0, 1, size=6)
         trace = relaxed_forward(params, x, bp_scale=2.0)
-        _, df = softmax_cross_entropy(trace.f, 0)
-        analytic = ste_backward(params, trace, df, bp_scale=2.0)
+        analytic = ste_backward_one(params, trace, 0, bp_scale=2.0)
         numeric = finite_difference_grads(params, x, 0, bp_scale=2.0)
         assert relative_error(analytic, numeric) < 1e-4
 
     def test_shape_mismatch(self):
         params = init_network_params(4, 3, 1, 2, np.random.default_rng(0))
-        trace = classical_forward(params, np.zeros(4))
-        with pytest.raises(ShapeMismatch):
-            ste_backward(params, trace, np.zeros(5))
+        trace = classical_forward_batch(params, np.zeros((4, 3)))
+        with pytest.raises(ShapeMismatch):  # rows != network outputs
+            ste_backward_batch(params, trace, np.zeros((5, 3)))
+        with pytest.raises(ShapeMismatch):  # columns != batch of the trace
+            ste_backward_batch(params, trace, np.zeros((2, 4)))
 
 
 class TestBatchedAgreement:

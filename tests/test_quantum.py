@@ -1,24 +1,27 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
 
-from qmlp.network import classical_forward, init_network_params
+from qmlp.network import classical_forward_batch, init_network_params
 from qmlp.quantum import (
     HALF_PI,
     QuantumConfig,
-    QubitState,
-    apply_ry,
     phi_a,
-    projective_measure,
     projective_update,
-    quantum_forward,
     quantum_forward_batch,
     ry_update,
-    rotation_angle,
-    weak_measure,
     weak_update,
 )
 from qmlp.rng import FORWARD, substream
+
+from oracles import (
+    QubitState,
+    apply_ry,
+    projective_measure,
+    reference_forward,
+    rotation_angle,
+    weak_measure,
+    weak_measure_oracle,
+)
 
 
 def random_state(rng):
@@ -27,26 +30,9 @@ def random_state(rng):
     return QubitState(float(v[0]), float(v[1]))
 
 
-def weak_measure_oracle(alpha, beta, g):
-    """Two-qubit branch-norm oracle built from the raw entangling gate.
-
-    Applies expm(i (g/2) z (x) y_anc) to (alpha, beta) (x) |+>, splits on
-    the ancilla outcome, and returns (p_plus, post_plus, post_minus). Fully
-    independent of the closed-form implementation under test.
-    """
-    z = np.diag([1.0, -1.0])
-    y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-    gate = expm(1.0j * (g / 2.0) * np.kron(z, y))
-    plus = np.array([1.0, 1.0]) / np.sqrt(2.0)
-    psi = gate @ np.kron(np.array([alpha, beta]), plus)
-    branch_plus = psi[[0, 2]]   # ancilla |0>
-    branch_minus = psi[[1, 3]]  # ancilla |1>
-    assert np.max(np.abs(psi.imag)) < 1e-12
-    p_plus = float(np.sum(np.abs(branch_plus) ** 2))
-    post_plus = branch_plus.real / np.sqrt(p_plus) if p_plus > 1e-15 else None
-    p_minus = 1.0 - p_plus
-    post_minus = branch_minus.real / np.sqrt(p_minus) if p_minus > 1e-15 else None
-    return p_plus, post_plus, post_minus
+def forward_one(params, x, cfg, rng):
+    """quantum_forward_batch on the one-column batch x."""
+    return quantum_forward_batch(params, np.asarray(x, dtype=np.float64)[:, None], cfg, [rng])
 
 
 class TestPhiA:
@@ -288,31 +274,6 @@ class TestFlipProbability:
 
 
 class TestQuantumForward:
-    def reference_forward(self, params, d0, cfg, rng):
-        """Per-neuron scalar-op loop in the documented draw order."""
-        L = params.num_hidden_layers
-        n = params.W[0].shape[0] if L else 0
-        states = [QubitState(1.0, 0.0) for _ in range(n)]
-        d_list = [np.asarray(d0, dtype=np.float64)]
-        z_list = []
-        for k in range(1, L + 1):
-            z = params.W[k - 1] @ d_list[k - 1]
-            d = np.empty(n)
-            for i in range(n):
-                d_prev = 1.0 if k == 1 else d_list[k - 1][i]
-                theta = rotation_angle(k, d_prev, z[i], cfg.a)
-                states[i] = apply_ry(states[i], theta)
-                if cfg.g == HALF_PI:
-                    out = projective_measure(states[i], rng)
-                else:
-                    out = weak_measure(states[i], cfg.g, rng)
-                states[i] = out.post_state
-                d[i] = out.d
-            z_list.append(z)
-            d_list.append(d)
-        f = params.W[-1] @ d_list[-1]
-        return z_list, d_list, f
-
     def test_matches_scalar_op_loop(self):
         rng = np.random.default_rng(19)
         for cfg in (
@@ -325,15 +286,15 @@ class TestQuantumForward:
                 params = init_network_params(5, 4, 2, 3, rng)
                 x = rng.uniform(0, 1, size=5)
                 seed = int(rng.integers(0, 1 << 32))
-                trace = quantum_forward(params, x, cfg, np.random.default_rng(seed))
-                z_ref, d_ref, f_ref = self.reference_forward(
+                trace = forward_one(params, x, cfg, np.random.default_rng(seed))
+                z_ref, d_ref, f_ref = reference_forward(
                     params, x, cfg, np.random.default_rng(seed)
                 )
-                for a, b in zip(trace.d, d_ref):
-                    assert np.array_equal(a, b)
-                for a, b in zip(trace.z, z_ref):
-                    assert np.array_equal(a, b)
-                assert np.array_equal(trace.f, f_ref)
+                for a, b in zip(trace.D, d_ref):
+                    assert np.array_equal(a[:, 0], b)
+                for a, b in zip(trace.Z, z_ref):
+                    assert np.array_equal(a[:, 0], b)
+                assert np.array_equal(trace.F[:, 0], f_ref)
 
     def test_classical_limit_bitwise(self):
         rng = np.random.default_rng(20)
@@ -343,13 +304,13 @@ class TestQuantumForward:
             params = init_network_params(6, 5, layers, 3, rng)
             x = rng.uniform(0, 1, size=6)
             seed = int(rng.integers(0, 1 << 63))
-            q = quantum_forward(params, x, cfg, np.random.default_rng(seed))
-            c = classical_forward(params, x)
-            for dq, dc in zip(q.d, c.d):
+            q = forward_one(params, x, cfg, np.random.default_rng(seed))
+            c = classical_forward_batch(params, x[:, None])
+            for dq, dc in zip(q.D, c.D):
                 assert np.array_equal(dq, dc)
-            for zq, zc in zip(q.z, c.z):
+            for zq, zc in zip(q.Z, c.Z):
                 assert np.array_equal(zq, zc)
-            assert np.array_equal(q.f, c.f)
+            assert np.array_equal(q.F, c.F)
 
     def test_saturated_stretch_is_deterministic(self):
         # a > 0 but every |z| >= a: all angles are 0 or +-pi
@@ -357,13 +318,13 @@ class TestQuantumForward:
         params = init_network_params(6, 5, 2, 3, rng)
         params.W = [w * 500.0 for w in params.W]
         x = rng.uniform(0.5, 1.0, size=6)
-        c = classical_forward(params, x)
-        assert all(np.all(np.abs(z) >= 1.0) for z in c.z)
+        c = classical_forward_batch(params, x[:, None])
+        assert all(np.all(np.abs(z) >= 1.0) for z in c.Z)
         cfg = QuantumConfig(a=1.0, g=HALF_PI)
         for seed in range(20):
-            q = quantum_forward(params, x, cfg, np.random.default_rng(seed))
-            assert np.array_equal(q.f, c.f)
-            for dq, dc in zip(q.d, c.d):
+            q = forward_one(params, x, cfg, np.random.default_rng(seed))
+            assert np.array_equal(q.F, c.F)
+            for dq, dc in zip(q.D, c.D):
                 assert np.array_equal(dq, dc)
 
     def test_draw_count_is_layers_times_neurons(self):
@@ -373,7 +334,7 @@ class TestQuantumForward:
         gen = np.random.default_rng(7)
         ctrl = np.random.default_rng(7)
         ctrl.random(3 * 5)
-        quantum_forward(params, x, QuantumConfig(a=0.7, g=1.0), gen)
+        forward_one(params, x, QuantumConfig(a=0.7, g=1.0), gen)
         assert gen.random() == ctrl.random()
 
     def test_batch_matches_per_sample(self):
@@ -386,13 +347,13 @@ class TestQuantumForward:
                 params, X.T, cfg, [np.random.default_rng(s) for s in seeds]
             )
             for s in range(8):
-                trace = quantum_forward(params, X[s], cfg, np.random.default_rng(seeds[s]))
+                z_ref, d_ref, f_ref = reference_forward(
+                    params, X[s], cfg, np.random.default_rng(seeds[s])
+                )
                 for k in range(2):
-                    assert np.allclose(
-                        batch.Z[k][:, s], trace.z[k], rtol=0, atol=1e-12
-                    )
-                    assert np.array_equal(batch.D[k + 1][:, s], trace.d[k + 1])
-                assert np.allclose(batch.F[:, s], trace.f, rtol=0, atol=1e-12)
+                    assert np.allclose(batch.Z[k][:, s], z_ref[k], rtol=0, atol=1e-12)
+                    assert np.array_equal(batch.D[k + 1][:, s], d_ref[k + 1])
+                assert np.allclose(batch.F[:, s], f_ref, rtol=0, atol=1e-12)
 
     def test_norms_stay_unit_through_circuit(self):
         # instrument by re-running the layer updates manually

@@ -35,8 +35,8 @@ def test_substreams_differ_and_reproduce():
 
 
 def test_vectorized_draws_match_scalar_draws():
-    # quantum_forward consumes rng.random(n) per layer; this must equal n
-    # scalar draws for the one-draw-per-measurement contract to hold
+    # quantum_forward_batch draws rng.random((L, n)) per sample; this must
+    # equal L * n scalar draws for the one-draw-per-measurement contract
     g1 = substream(11, SHUFFLE)
     g2 = substream(11, SHUFFLE)
     vec = g1.random(16)

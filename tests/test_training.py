@@ -4,7 +4,8 @@ import pytest
 from qmlp.data import EncodedDataset
 from qmlp.inference import InferencePolicy
 from qmlp.network import NetworkParams, init_network_params
-from qmlp.quantum import HALF_PI, QuantumConfig
+from qmlp import training
+from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
 from qmlp.training import (
     ConfigInvalid,
     Hyperparams,
@@ -127,16 +128,39 @@ class TestTrain:
             not np.array_equal(w1, w2) for w1, w2 in zip(m1.params.W, m2.params.W)
         )
 
-    def test_classical_config_equals_forced_quantum_path(self, tiny_data):
+    def test_classical_config_equals_forced_quantum_path(self, tiny_data, monkeypatch):
         # (a=0, g=pi/2) must produce byte-identical trajectories whether the
         # forward pass goes through the classical or the quantum sampler
         train_set, val_set = tiny_data
         hyper = tiny_hyper(quantum=QuantumConfig(a=0.0, g=HALF_PI))
         m_classical = train(hyper, train_set, val_set)
-        m_quantum = train(hyper, train_set, val_set, _force_quantum_path=True)
+        sampled = []
+        monkeypatch.setattr(QuantumConfig, "is_classical", property(lambda self: False))
+        monkeypatch.setattr(
+            training, "quantum_forward_batch",
+            lambda *args: sampled.append(1) or quantum_forward_batch(*args),
+        )
+        m_quantum = train(hyper, train_set, val_set)
+        assert len(sampled) == hyper.epochs * 4  # every batch went through the sampler
         assert m_classical.records == m_quantum.records
         for w1, w2 in zip(m_classical.params.W, m_quantum.params.W):
             assert np.array_equal(w1, w2)
+
+    def test_returns_optimizer_state_of_last_step(self, tiny_data, monkeypatch):
+        train_set, val_set = tiny_data
+        after_step = []
+
+        def recording_step(params, opt, grads, lr, momentum):
+            out = sgd_momentum_step(params, opt, grads, lr, momentum)
+            after_step.append([v.copy() for v in opt.velocity])
+            return out
+
+        monkeypatch.setattr(training, "sgd_momentum_step", recording_step)
+        metrics = train(tiny_hyper(quantum=QuantumConfig(a=0.5)), train_set, val_set)
+        assert len(after_step) == 2 * 4
+        for v, last in zip(metrics.opt.velocity, after_step[-1]):
+            assert np.array_equal(v, last)
+            assert np.any(v != 0.0)
 
     def test_metrics_shape_and_ranges(self, tiny_data):
         train_set, val_set = tiny_data
