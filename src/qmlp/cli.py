@@ -72,20 +72,20 @@ def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set or ())
     params, _opt, _epoch, _meta = load_checkpoint(args.checkpoint)
     _train_set, val_set = load_datasets(cfg)
-    quantum = cfg.hyper.quantum
+    quantum, policy, curve = cfg.hyper.quantum, cfg.policy, args.shots_curve
+    multi = policy.mode == "multi_shot"
     det = evaluate(params, val_set, InferencePolicy.deterministic())
     print(f"deterministic_error={det}")
-    if cfg.policy.mode == "multi_shot":
-        err = evaluate(params, val_set, cfg.policy, quantum=quantum)
-        print(f"multi_shot_error={err} shots={cfg.policy.shots} a={quantum.a} g={quantum.g}")
-    if args.shots_curve:
-        preds = prediction_matrix(
-            params, val_set, quantum, args.shots_curve, cfg.policy.seed
-        )
-        lines = ["shots,error"]
-        for k in range(1, args.shots_curve + 1):
-            errs = mode_over_shots(preds[:, :k], params.output_size)
-            lines.append(f"{k},{float(np.mean(errs != val_set.y))!r}")
+    if curve:  # a matrix's first k columns do not depend on its width: one serves both
+        width = max(policy.shots, curve) if multi else curve
+        preds = prediction_matrix(params, val_set, quantum, width, policy.seed)
+        errors = [float(np.mean(mode_over_shots(preds[:, :k], params.output_size) != val_set.y))
+                  for k in range(1, width + 1)]
+    if multi:
+        err = errors[policy.shots - 1] if curve else evaluate(params, val_set, policy, quantum)
+        print(f"multi_shot_error={err} shots={policy.shots} a={quantum.a} g={quantum.g}")
+    if curve:
+        lines = ["shots,error"] + [f"{k},{e!r}" for k, e in enumerate(errors[:curve], 1)]
         out_dir = Path(args.out or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         curve_path = out_dir / "shots_curve.csv"
@@ -143,6 +143,12 @@ def cmd_fetch_check(args) -> int:
     return 1 if failures else 0
 
 
+def positive_int(text: str) -> int:
+    if int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmlp",
@@ -175,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--checkpoint", required=True)
     p_eval.add_argument(
         "--shots-curve",
-        type=int,
+        type=positive_int,
         metavar="MAX",
         help="also write error vs shots for 1..MAX",
     )

@@ -21,8 +21,6 @@ from .rng import SHUFFLE, SUBSET, substream
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
-NUM_CLASSES = 10
-
 
 class MagicMismatch(ValueError):
     """File does not start with the expected IDX magic word."""

@@ -105,11 +105,11 @@ def evaluate(
     """Fraction of samples whose prediction differs from the label."""
     if data.count == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    if policy.mode == "deterministic":
+    if policy.mode == "multi_shot" and quantum is None:
+        raise ValueError("multi_shot evaluation needs a QuantumConfig")
+    if policy.mode == "deterministic" or quantum.is_classical:  # every shot is this pass
         preds = predict_batch_deterministic(params, data.X)
     else:
-        if quantum is None:
-            raise ValueError("multi_shot evaluation needs a QuantumConfig")
         matrix = prediction_matrix(params, data, quantum, policy.shots, policy.seed)
         preds = mode_over_shots(matrix, params.output_size)
     return float(np.mean(preds != data.y))

@@ -20,10 +20,11 @@ Conventions
 The channel is tuned by two knobs: the activation stretch `a` (a = 0 gives
 hard sign targets, so rotation angles are 0 or +-pi and the circuit is
 deterministic) and the entanglement angle `g` (g = pi/2 makes the ancilla
-measurement equivalent to a projective measurement of the neuron). The
-configuration (a=0, g=pi/2) reproduces the classical binarized network
-bit-for-bit; to guarantee that exactly, rotations by 0 and +-pi are applied
-as exact basis-state maps rather than through cos/sin.
+measurement equivalent to a projective measurement of the neuron). After a
+projective measurement the qubit is in |d_prev>, and rotating that gives
+p(+1) = (1 + sin(pi/2 * phi_a(z))) / 2 whatever d_prev is, so the g = pi/2
+pass samples p(+1) and stores no amplitudes. As sin(+-pi/2) = +-1 exactly,
+(a=0, g=pi/2) reproduces the classical binarized network bit-for-bit.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BatchTrace, NetworkParams, ShapeMismatch, sign
+from .network import BatchTrace, NetworkParams, ShapeMismatch, htanh, sign
 
 HALF_PI = np.pi / 2
 
@@ -59,7 +60,7 @@ def phi_a(x, a: float):
     """Stretched activation htanh(x / a); the a -> 0 limit is sign(x)."""
     if a == 0.0:
         return sign(x)
-    return np.clip(np.asarray(x, dtype=np.float64) / a, -1.0, 1.0)
+    return htanh(np.asarray(x, dtype=np.float64) / a)
 
 
 def ry_update(alpha, beta, theta):
@@ -68,8 +69,8 @@ def ry_update(alpha, beta, theta):
     Angles that are exactly 0 or +-pi are applied as exact basis maps:
     identity, (alpha, beta) -> (-beta, alpha), and (alpha, beta) ->
     (beta, -alpha) respectively. Generic angles use the cos/sin matrix.
-    The exact branch is what makes the a=0 circuit reproduce the classical
-    network bitwise instead of within 1e-16.
+    The exact branch keeps basis states exact under a = 0 rotations on the
+    weak-measurement path, instead of within 1e-16.
     """
     theta = np.asarray(theta, dtype=np.float64)
     c = np.cos(theta / 2)
@@ -135,8 +136,8 @@ def quantum_forward_batch(
 
     Columns of D0 (M, B) are samples. Qubits start in |0>. Per layer: rotate
     each qubit by the angle computed from the previous measured activations,
-    then measure it (projectively when g = pi/2, weakly otherwise); the
-    outcomes are the layer's activations. Column s draws L * n uniforms from
+    then measure it (with g = pi/2 by its closed-form p(+1), weakly otherwise);
+    the outcomes are the layer's activations. Column s draws L * n uniforms from
     sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
     activations do not depend on the batch it is in.
     """
@@ -151,22 +152,21 @@ def quantum_forward_batch(
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
     projective = cfg.g == HALF_PI
     sin_g = np.sin(cfg.g)
+    alpha, beta = 1.0, 0.0  # |0>, broadcast by the first weak-path rotation
     Z_list, D_list = [], [D0]
     if L:
         n = params.W[0].shape[0]
         U = np.empty((L, n, B))
         for s, rng in enumerate(sample_rngs):
             U[:, :, s] = rng.random((L, n))
-        alpha = np.ones((n, B))
-        beta = np.zeros((n, B))
     for k in range(1, L + 1):
         Z = params.W[k - 1] @ D_list[k - 1]
-        base = 1.0 if k == 1 else D_list[k - 1]
-        theta = HALF_PI * (base - phi_a(Z, cfg.a))
-        alpha, beta = ry_update(alpha, beta, theta)
         if projective:
-            D, alpha, beta = projective_update(alpha, beta, U[k - 1])
+            D = np.where(U[k - 1] < 0.5 * (1.0 + np.sin(HALF_PI * phi_a(Z, cfg.a))), 1.0, -1.0)
         else:
+            base = 1.0 if k == 1 else D_list[k - 1]
+            theta = HALF_PI * (base - phi_a(Z, cfg.a))
+            alpha, beta = ry_update(alpha, beta, theta)
             D, alpha, beta = weak_update(alpha, beta, sin_g, U[k - 1])
         Z_list.append(Z)
         D_list.append(D)

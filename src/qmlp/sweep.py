@@ -107,7 +107,11 @@ def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
     )
 
     final_val = evaluate(metrics.params, val_set, cfg.policy, quantum=cfg.hyper.quantum)
-    det_val = evaluate(metrics.params, val_set, InferencePolicy.deterministic())
+    if metrics.records:  # the last epoch measured these weights (deterministic policy)
+        train_err, det_val = metrics.records[-1].train_error, metrics.records[-1].val_error
+    else:
+        train_err = training_error(metrics.params, train_set)
+        det_val = evaluate(metrics.params, val_set, InferencePolicy.deterministic())
     val_errors = [r.val_error for r in metrics.records]
     result = {
         "a": cfg.hyper.quantum.a,
@@ -115,7 +119,7 @@ def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
         "seed": cfg.hyper.seed,
         "final_val_error": final_val,
         "final_val_error_deterministic": det_val,
-        "final_train_error": training_error(metrics.params, train_set),
+        "final_train_error": train_err,
         # best over the per-epoch curve (per-epoch measurement policy)
         "best_val_error": min(val_errors) if val_errors else det_val,
         "wall_time_s": wall,

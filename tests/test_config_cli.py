@@ -5,6 +5,9 @@ import numpy as np
 import pytest
 import yaml
 
+import qmlp.cli
+import qmlp.inference
+import qmlp.training
 from qmlp.checkpoint import load_checkpoint
 from qmlp.cli import build_parser, main
 from qmlp.config import (
@@ -13,6 +16,7 @@ from qmlp.config import (
     load_config,
     parse_angle,
 )
+from qmlp.inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
 from qmlp.quantum import HALF_PI
 from qmlp.sweep import CSV_HEADER, ResultCorrupt, load_datasets, run_training_job
 from qmlp.training import ConfigInvalid, train
@@ -121,6 +125,13 @@ class TestOptionSurface:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_shots_curve_below_one_is_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["eval", "--checkpoint", "c.qckpt", "--shots-curve", value])
+        assert exc.value.code == 2
+        assert "--shots-curve: must be >= 1" in capsys.readouterr().err
+
     def test_sweep_takes_threads(self):
         args = build_parser().parse_args(["sweep", "--threads", "2", "--seed", "4"])
         assert (args.threads, args.seed) == (2, 4)
@@ -197,6 +208,25 @@ class TestTrainJob:
         assert sorted(p.name for p in (tmp_path / "run1").iterdir()) == [
             "checkpoint.qckpt", "metrics.jsonl", "result.json"
         ]
+
+    def test_result_reuses_last_epoch_record(self, tmp_path, small_idx_dir, monkeypatch):
+        epochs = 3
+        cfg = load_config(write_desk_config(tmp_path, small_idx_dir, epochs=epochs))
+        cfg = cfg.with_quantum(0.5, HALF_PI, seed=3)
+        passes, original = [], qmlp.inference.predict_batch_deterministic
+
+        def counted(*args):
+            passes.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(qmlp.inference, "predict_batch_deterministic", counted)
+        monkeypatch.setattr(qmlp.training, "predict_batch_deterministic", counted)
+        run_training_job(cfg, tmp_path / "job")
+        assert len(passes) == 2 * epochs
+        last = json.loads((tmp_path / "job" / "metrics.jsonl").read_text().splitlines()[-1])
+        result = json.loads((tmp_path / "job" / "result.json").read_text())
+        assert result["final_train_error"] == last["train_error"]
+        assert result["final_val_error_deterministic"] == last["val_error"]
 
     def test_torn_result_is_a_named_error(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
@@ -345,6 +375,51 @@ class TestEval:
         curve = (tmp_path / "eval_out" / "shots_curve.csv").read_text().splitlines()
         assert curve[0] == "shots,error"
         assert len(curve) == 5
+
+    @pytest.mark.parametrize("curve", [2, 4])
+    def test_shots_curve_reuses_the_evaluation_matrix(
+        self, curve, tmp_path, small_idx_dir, capsys, monkeypatch
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        assert main(["train", "--config", str(cfg_path), "--set", "quantum.a=0.5"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.qckpt"
+        cfg = load_config(cfg_path, ["quantum.a=0.5"])
+        params = load_checkpoint(ckpt)[0]
+        val_set = load_datasets(cfg)[1]
+        err = evaluate(params, val_set, cfg.policy, cfg.hyper.quantum)
+        preds = prediction_matrix(params, val_set, cfg.hyper.quantum, curve, cfg.policy.seed)
+        expected_csv = "shots,error\n" + "".join(
+            f"{k},{float(np.mean(mode_over_shots(preds[:, :k], 10) != val_set.y))!r}\n"
+            for k in range(1, curve + 1)
+        )
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return prediction_matrix(*args)
+
+        monkeypatch.setattr(qmlp.cli, "prediction_matrix", counted)
+        monkeypatch.setattr(qmlp.inference, "prediction_matrix", counted)
+        capsys.readouterr()
+        rc = main(
+            [
+                "eval",
+                "--config",
+                str(cfg_path),
+                "--set",
+                "quantum.a=0.5",
+                "--checkpoint",
+                str(ckpt),
+                "--shots-curve",
+                str(curve),
+                "--out",
+                str(tmp_path / "eval_out"),
+            ]
+        )
+        assert rc == 0
+        assert len(calls) == 1
+        assert f"multi_shot_error={err} shots=3 " in capsys.readouterr().out
+        assert (tmp_path / "eval_out" / "shots_curve.csv").read_bytes() == expected_csv.encode()
 
     def test_empty_validation_set_errors(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

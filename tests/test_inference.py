@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qmlp.inference
 from qmlp.data import EncodedDataset, encode_dataset
 from qmlp.inference import (
     EmptyDataset,
@@ -147,6 +148,26 @@ class TestEvaluate:
             params, data, InferencePolicy.multi_shot(4, seed=3), QuantumConfig(a=0.0)
         )
         assert det == mode
+
+    def test_multi_shot_at_classical_point_runs_one_pass(self, monkeypatch):
+        params = init_network_params(784, 8, 2, 10, np.random.default_rng(19))
+        data = self.make_data()
+        cfg, policy = QuantumConfig(a=0.0), InferencePolicy.multi_shot(5, seed=8)
+        matrix = prediction_matrix(params, data, cfg, policy.shots, policy.seed)
+        expected = float(np.mean(mode_over_shots(matrix, 10) != data.y))
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("prediction_matrix called at the classical point")
+
+        def counted(*args):
+            calls.append(args)
+            return predict_batch_deterministic(*args)
+
+        monkeypatch.setattr(qmlp.inference, "prediction_matrix", refuse)
+        monkeypatch.setattr(qmlp.inference, "predict_batch_deterministic", counted)
+        assert evaluate(params, data, policy, cfg) == expected
+        assert len(calls) == 1
 
     def test_requires_quantum_config_for_multi_shot(self):
         params = init_network_params(784, 8, 1, 10, np.random.default_rng(16))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import qmlp.quantum
 from qmlp.network import classical_forward_batch, init_network_params
 from qmlp.quantum import (
     HALF_PI,
@@ -341,7 +342,16 @@ class TestQuantumForward:
         rng = np.random.default_rng(23)
         params = init_network_params(6, 5, 2, 3, rng)
         X = rng.uniform(0, 1, size=(8, 6))
-        for cfg in (QuantumConfig(a=0.5), QuantumConfig(a=0.3, g=1.0)):
+        for layers, cfg in (
+            (2, QuantumConfig(a=0.5)),
+            (2, QuantumConfig(a=0.3, g=1.0)),
+            # projective nets against the ry_update + projective_update oracle
+            (3, QuantumConfig(a=0.1)),
+            (3, QuantumConfig(a=0.316227766)),
+            (3, QuantumConfig(a=1.0)),
+        ):
+            if params.num_hidden_layers != layers:
+                params = init_network_params(6, 5, layers, 3, rng)
             seeds = [int(rng.integers(0, 1 << 32)) for _ in range(8)]
             batch = quantum_forward_batch(
                 params, X.T, cfg, [np.random.default_rng(s) for s in seeds]
@@ -350,10 +360,49 @@ class TestQuantumForward:
                 z_ref, d_ref, f_ref = reference_forward(
                     params, X[s], cfg, np.random.default_rng(seeds[s])
                 )
-                for k in range(2):
+                for k in range(layers):
                     assert np.allclose(batch.Z[k][:, s], z_ref[k], rtol=0, atol=1e-12)
                     assert np.array_equal(batch.D[k + 1][:, s], d_ref[k + 1])
                 assert np.allclose(batch.F[:, s], f_ref, rtol=0, atol=1e-12)
+
+    def test_projective_path_needs_no_amplitude_kernels(self, monkeypatch):
+        rng = np.random.default_rng(25)
+        params = init_network_params(6, 5, 3, 3, rng)
+        X = rng.uniform(0, 1, size=(6, 16))
+        cfg = QuantumConfig(a=0.316227766)
+
+        def streams():
+            return [substream(4, FORWARD, s) for s in range(16)]
+
+        def refuse(*args):
+            raise AssertionError("amplitude kernel called")
+
+        before = quantum_forward_batch(params, X, cfg, streams())
+        monkeypatch.setattr(qmlp.quantum, "ry_update", refuse)
+        monkeypatch.setattr(qmlp.quantum, "projective_update", refuse)
+        after = quantum_forward_batch(params, X, cfg, streams())
+        for d_before, d_after in zip(before.D, after.D):
+            assert np.array_equal(d_before, d_after)
+        assert np.array_equal(before.F, after.F)
+        with pytest.raises(AssertionError):  # the weak path still rotates amplitudes
+            quantum_forward_batch(params, X, QuantumConfig(a=0.3, g=1.0), streams())
+
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
+    def test_classical_limit_exact_for_extreme_draws(self, u):
+        class ConstantDraws:
+            def random(self, size):
+                return np.full(size, u)
+
+        rng = np.random.default_rng(26)
+        cfg = QuantumConfig(a=0.0, g=HALF_PI)
+        for layers in (1, 2, 3):
+            params = init_network_params(6, 5, layers, 3, rng)
+            X = rng.uniform(-1, 1, size=(6, 32))
+            q = quantum_forward_batch(params, X, cfg, [ConstantDraws() for _ in range(32)])
+            c = classical_forward_batch(params, X)
+            for dq, dc in zip(q.D, c.D):
+                assert np.array_equal(dq, dc)
+            assert np.array_equal(q.F, c.F)
 
     def test_norms_stay_unit_through_circuit(self):
         # instrument by re-running the layer updates manually
