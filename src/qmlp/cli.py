@@ -96,27 +96,15 @@ def cmd_eval(args) -> int:
 
 def _check_idx_file(path: str) -> str:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 4:
+        head = fh.read(4)
+    if len(head) < 4:
         raise data_mod.TruncatedFile(f"{path}: too short for a magic word")
-    (magic,) = struct.unpack(">I", blob[:4])
+    (magic,) = struct.unpack(">I", head)
     if magic == data_mod.IMAGE_MAGIC:
-        images = data_mod.parse_idx_images(blob)
-        expected = 16 + images.size
-        if len(blob) != expected:
-            raise data_mod.TruncatedFile(
-                f"{path}: {len(blob) - expected} trailing bytes after image payload"
-            )
-        n, rows, cols = images.shape
+        n, rows, cols = data_mod.read_idx(path, data_mod.parse_idx_images).shape
         return f"{path}: images n={n} {rows}x{cols} OK"
     if magic == data_mod.LABEL_MAGIC:
-        labels = data_mod.parse_idx_labels(blob)
-        expected = 8 + len(labels)
-        if len(blob) != expected:
-            raise data_mod.TruncatedFile(
-                f"{path}: {len(blob) - expected} trailing bytes after label payload"
-            )
-        return f"{path}: labels n={len(labels)} OK"
+        return f"{path}: labels n={len(data_mod.read_idx(path, data_mod.parse_idx_labels))} OK"
     raise data_mod.MagicMismatch(f"{path}: unknown magic {magic:#010x}")
 
 

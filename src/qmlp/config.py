@@ -135,7 +135,6 @@ def config_from_dict(raw: dict) -> RunConfig:
     try:
         quantum = QuantumConfig(a=q.get("a", 0.0), g=q.get("g", HALF_PI))
         hyper = Hyperparams(quantum=quantum, **hyper_kwargs)
-        hyper.validate()
         policy = InferencePolicy(**_converted_section(raw, "inference"))
     except ValueError as exc:
         if isinstance(exc, ConfigInvalid):

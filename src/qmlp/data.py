@@ -70,6 +70,13 @@ class EncodedDataset:
         return len(self.y)
 
 
+def _check_size(data: bytes, expected: int, kind: str):
+    if len(data) < expected:
+        raise TruncatedFile(f"header declares {expected} bytes, file has {len(data)}")
+    if len(data) > expected:
+        raise TruncatedFile(f"{len(data) - expected} trailing bytes after {kind} payload")
+
+
 def parse_idx_images(data: bytes) -> np.ndarray:
     """Parse an IDX image file into a (n, rows, cols) uint8 array."""
     if len(data) < 4:
@@ -80,9 +87,7 @@ def parse_idx_images(data: bytes) -> np.ndarray:
     if len(data) < 16:
         raise TruncatedFile(f"image header needs 16 bytes, file has {len(data)}")
     n, rows, cols = struct.unpack(">III", data[4:16])
-    expected = 16 + n * rows * cols
-    if len(data) < expected:
-        raise TruncatedFile(f"header declares {expected} bytes, file has {len(data)}")
+    _check_size(data, 16 + n * rows * cols, "image")
     pixels = np.frombuffer(data, dtype=np.uint8, count=n * rows * cols, offset=16)
     return pixels.reshape(n, rows, cols).copy()
 
@@ -97,8 +102,7 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
     if len(data) < 8:
         raise TruncatedFile(f"label header needs 8 bytes, file has {len(data)}")
     (n,) = struct.unpack(">I", data[4:8])
-    if len(data) < 8 + n:
-        raise TruncatedFile(f"header declares {8 + n} bytes, file has {len(data)}")
+    _check_size(data, 8 + n, "label")
     labels = np.frombuffer(data, dtype=np.uint8, count=n, offset=8)
     bad = np.nonzero(labels > 9)[0]
     if bad.size:
@@ -118,24 +122,22 @@ def serialize_idx_labels(labels: np.ndarray) -> bytes:
     return struct.pack(">II", LABEL_MAGIC, len(labels)) + labels.astype(np.uint8).tobytes()
 
 
-def load_raw_dataset(images_path, labels_path) -> RawDataset:
-    """Read and parse an IDX image/label file pair from local paths.
+def read_idx(path, parse):
+    """Read one IDX file and parse it; parse errors are re-raised with the path prepended."""
+    with open(path, "rb") as fh:
+        blob = fh.read()
+    try:
+        return parse(blob)
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
 
-    Parse errors are re-raised with the offending path prepended.
-    """
-    with open(images_path, "rb") as fh:
-        blob = fh.read()
-    try:
-        images = parse_idx_images(blob)
-    except ValueError as exc:
-        raise type(exc)(f"{images_path}: {exc}") from exc
-    with open(labels_path, "rb") as fh:
-        blob = fh.read()
-    try:
-        labels = parse_idx_labels(blob)
-    except ValueError as exc:
-        raise type(exc)(f"{labels_path}: {exc}") from exc
-    return RawDataset(images=images, labels=labels)
+
+def load_raw_dataset(images_path, labels_path) -> RawDataset:
+    """Read and parse an IDX image/label file pair from local paths."""
+    return RawDataset(
+        images=read_idx(images_path, parse_idx_images),
+        labels=read_idx(labels_path, parse_idx_labels),
+    )
 
 
 def subset(dataset: RawDataset, n: int, seed: int) -> RawDataset:
@@ -162,7 +164,6 @@ def encode_dataset(dataset: RawDataset) -> EncodedDataset:
 class BatchPlan:
     """A full-epoch sample order, fixed by epoch_seed, cut into batches."""
 
-    epoch_seed: int
     batch_size: int
     order: np.ndarray
 
@@ -171,7 +172,7 @@ class BatchPlan:
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         order = substream(epoch_seed, SHUFFLE).permutation(count)
-        return cls(epoch_seed=epoch_seed, batch_size=batch_size, order=order)
+        return cls(batch_size=batch_size, order=order)
 
     def batches(self):
         """Index arrays of `batch_size` samples in order; the last may be shorter."""

@@ -66,28 +66,17 @@ def phi_a(x, a: float):
 def ry_update(alpha, beta, theta):
     """Apply R_Y(theta) elementwise to amplitude arrays.
 
-    Angles that are exactly 0 or +-pi are applied as exact basis maps:
-    identity, (alpha, beta) -> (-beta, alpha), and (alpha, beta) ->
-    (beta, -alpha) respectively. Generic angles use the cos/sin matrix.
-    The exact branch keeps basis states exact under a = 0 rotations on the
-    weak-measurement path, instead of within 1e-16.
+    (alpha, beta) -> (c alpha - s beta, s alpha + c beta) with c = cos(theta/2)
+    and s = sin(theta/2). The rotation angles 0 and +-pi must map basis states
+    exactly on the weak-measurement path. sin(0) = 0, cos(0) = 1 and
+    sin(+-pi/2) = +-1 are exact in floating point; cos(+-pi/2) = 6.1e-17 is
+    the one inexact value, so it is pinned to 0. The same formula then gives
+    exactly (alpha, beta), (-beta, alpha) and (beta, -alpha).
     """
     theta = np.asarray(theta, dtype=np.float64)
-    c = np.cos(theta / 2)
+    c = np.where(np.abs(theta) == np.pi, 0.0, np.cos(theta / 2))
     s = np.sin(theta / 2)
-    out_a = c * alpha - s * beta
-    out_b = s * alpha + c * beta
-    exact_0 = theta == 0.0
-    exact_p = theta == np.pi
-    exact_m = theta == -np.pi
-    if exact_0.any() or exact_p.any() or exact_m.any():
-        out_a = np.where(exact_0, alpha, out_a)
-        out_b = np.where(exact_0, beta, out_b)
-        out_a = np.where(exact_p, -np.asarray(beta, dtype=np.float64), out_a)
-        out_b = np.where(exact_p, alpha, out_b)
-        out_a = np.where(exact_m, beta, out_a)
-        out_b = np.where(exact_m, -np.asarray(alpha, dtype=np.float64), out_b)
-    return out_a, out_b
+    return c * alpha - s * beta, s * alpha + c * beta
 
 
 def projective_update(alpha, beta, u):
@@ -152,7 +141,7 @@ def quantum_forward_batch(
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
     projective = cfg.g == HALF_PI
     sin_g = np.sin(cfg.g)
-    alpha, beta = 1.0, 0.0  # |0>, broadcast by the first weak-path rotation
+    alpha, beta, prev = 1.0, 0.0, 1.0  # |0>, and its outcome; broadcast by layer 1
     Z_list, D_list = [], [D0]
     if L:
         n = params.W[0].shape[0]
@@ -164,10 +153,10 @@ def quantum_forward_batch(
         if projective:
             D = np.where(U[k - 1] < 0.5 * (1.0 + np.sin(HALF_PI * phi_a(Z, cfg.a))), 1.0, -1.0)
         else:
-            base = 1.0 if k == 1 else D_list[k - 1]
-            theta = HALF_PI * (base - phi_a(Z, cfg.a))
+            theta = HALF_PI * (prev - phi_a(Z, cfg.a))
             alpha, beta = ry_update(alpha, beta, theta)
             D, alpha, beta = weak_update(alpha, beta, sin_g, U[k - 1])
+            prev = D
         Z_list.append(Z)
         D_list.append(D)
     F = params.W[-1] @ D_list[-1]

@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import asdict
 from functools import lru_cache
 from pathlib import Path
 
@@ -62,20 +63,11 @@ def load_datasets(cfg: RunConfig):
     )
 
 
-def _epoch_dict(record) -> dict:
-    return {
-        "epoch": record.epoch,
-        "train_error": record.train_error,
-        "val_error": record.val_error,
-        "mean_loss": record.mean_loss,
-    }
-
-
-def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
+def run_training_job(cfg: RunConfig, out_dir) -> dict:
     """Train one model under cfg.hyper and write its artifacts to out_dir."""
     out_dir = Path(out_dir)
     result_path = out_dir / "result.json"
-    if resume and result_path.exists():
+    if result_path.exists():
         try:
             return json.loads(result_path.read_text())
         except ValueError as exc:
@@ -93,7 +85,7 @@ def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
             train_set,
             val_set,
             on_epoch=lambda rec: log.write(
-                json.dumps(_epoch_dict(rec), sort_keys=True) + "\n"
+                json.dumps(asdict(rec), sort_keys=True) + "\n"
             ),
         )
     wall = time.perf_counter() - start
@@ -107,7 +99,7 @@ def run_training_job(cfg: RunConfig, out_dir, resume: bool = True) -> dict:
     )
 
     final_val = evaluate(metrics.params, val_set, cfg.policy, quantum=cfg.hyper.quantum)
-    if metrics.records:  # the last epoch measured these weights (deterministic policy)
+    if metrics.records:  # the last epoch measured these weights deterministically
         train_err, det_val = metrics.records[-1].train_error, metrics.records[-1].val_error
     else:
         train_err = training_error(metrics.params, train_set)
@@ -167,9 +159,9 @@ def write_sweep_csv(path, results):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def run_sweep(cfg: RunConfig, out_dir=None, threads: int = 1):
-    """Train the full a_values x g_values x seeds grid and write sweep.csv."""
-    out_dir = Path(out_dir if out_dir is not None else cfg.out_dir)
+def run_sweep(cfg: RunConfig, threads: int = 1):
+    """Train the full a_values x g_values x seeds grid under cfg.out_dir and write sweep.csv."""
+    out_dir = Path(cfg.out_dir)
     cells = [(a, g, s) for a in cfg.a_values for g in cfg.g_values for s in cfg.seeds]
     results = run_cells(cfg, cells, out_dir, threads=threads)
     write_sweep_csv(out_dir / "sweep.csv", results)

@@ -6,10 +6,9 @@ for measurement sampling. Gradients are the mean of per-sample gradients
 over the mini-batch, reduced in sample order; the weight update is
 classical heavy-ball momentum, v <- momentum*v - lr*grad, W <- W + v.
 
-Per-epoch training error is measured with deterministic classical-limit
-forward passes. Per-epoch validation error uses the supplied inference
-policy (deterministic by default; multi-shot evaluation of every epoch is
-expensive and usually reserved for the final model).
+Per-epoch training and validation errors are measured with deterministic
+classical-limit forward passes; multi-shot evaluation of every epoch would be
+expensive and is reserved for the final model.
 """
 
 from __future__ import annotations
@@ -54,7 +53,7 @@ class Hyperparams:
     bp_scale: float = 1.0
     num_classes: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         if self.hidden_layers < 0:
             raise ConfigInvalid(f"hidden_layers must be >= 0, got {self.hidden_layers}")
         if self.hidden_size < 1:
@@ -142,26 +141,24 @@ def train(
     hyper: Hyperparams,
     train_set: EncodedDataset,
     val_set: EncodedDataset,
-    eval_policy: InferencePolicy | None = None,
     on_epoch=None,
 ) -> RunMetrics:
     """Train a network from scratch; a pure function of (hyper, datasets).
 
-    `eval_policy` controls the per-epoch validation measurement (default
-    deterministic). `on_epoch` is called with each EpochRecord as it is
-    produced, e.g. to append to a metrics log. The result holds the final
-    weights and optimizer state.
+    `on_epoch` is called with each EpochRecord as it is produced, e.g. to
+    append to a metrics log. The result holds the final weights and
+    optimizer state.
     """
-    hyper.validate()
     if train_set.count == 0 and hyper.epochs > 0:
         raise ConfigInvalid("cannot train on an empty dataset")
+    top = train_set.y.max(initial=-1)
+    if top >= hyper.num_classes:
+        raise ConfigInvalid(f"training label {top} is not below num_classes={hyper.num_classes}")
     if train_set.count and train_set.X.shape[1] != val_set.X.shape[1]:
         raise ShapeMismatch(
             f"train and validation inputs disagree: "
             f"{train_set.X.shape[1]} vs {val_set.X.shape[1]} features"
         )
-    if eval_policy is None:
-        eval_policy = InferencePolicy.deterministic()
     params = init_network_params(
         input_size=train_set.X.shape[1],
         hidden_size=hyper.hidden_size,
@@ -190,7 +187,7 @@ def train(
         record = EpochRecord(
             epoch=epoch,
             train_error=training_error(params, train_set),
-            val_error=evaluate(params, val_set, eval_policy, quantum=hyper.quantum),
+            val_error=evaluate(params, val_set, InferencePolicy.deterministic()),
             mean_loss=loss_sum / train_set.count,
         )
         records.append(record)

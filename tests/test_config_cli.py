@@ -253,6 +253,12 @@ class TestTrainJob:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_num_classes_below_a_label(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        rc = main(["train", "--config", str(cfg_path), "--set", "training.num_classes=5"])
+        assert rc == 1
+        assert "num_classes=5" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_grid_csv_and_resume(self, tmp_path, small_idx_dir):
@@ -472,6 +478,12 @@ class TestFetchCheck:
         bad.write_bytes(b"\x12\x34\x56\x78" + b"\x00" * 100)
         assert main(["fetch-check", str(bad)]) == 1
         assert "unknown magic" in capsys.readouterr().err
+
+    def test_trailing_bytes_fail(self, small_idx_dir, tmp_path, capsys):
+        bad = tmp_path / "long-labels"
+        bad.write_bytes((small_idx_dir / "train-labels-idx1-ubyte").read_bytes() + b"\x00\x00")
+        assert main(["fetch-check", str(bad)]) == 1
+        assert f"{bad}: 2 trailing bytes after label payload" in capsys.readouterr().err
 
     def test_truncated_fails(self, small_idx_dir, tmp_path, capsys):
         src = (small_idx_dir / "train-images-idx3-ubyte").read_bytes()

@@ -74,6 +74,14 @@ class TestIdxParsing:
         with pytest.raises(TruncatedFile):
             parse_idx_images(struct.pack(">I", IMAGE_MAGIC) + b"\x00\x00")
 
+    def test_trailing_image_bytes(self):
+        with pytest.raises(TruncatedFile, match="2 trailing bytes after image payload"):
+            parse_idx_images(image_bytes(2, rows=3, cols=3) + b"\x00\x00")
+
+    def test_trailing_label_bytes(self):
+        with pytest.raises(TruncatedFile, match="2 trailing bytes after label payload"):
+            parse_idx_labels(label_bytes([1, 2, 3]) + b"\x00\x00")
+
     def test_labels_parse(self):
         assert parse_idx_labels(label_bytes([5, 0, 9])).tolist() == [5, 0, 9]
 

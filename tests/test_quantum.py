@@ -1,3 +1,6 @@
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
@@ -126,6 +129,28 @@ class TestApplyRy:
             s = random_state(rng)
             out = apply_ry(s, rng.uniform(-7, 7))
             assert abs(out.norm_sq() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("theta", [0.0, np.pi, -np.pi])
+    def test_basis_maps_are_bitwise(self, theta):
+        rng = np.random.default_rng(3)
+        v = rng.normal(size=(2, 1000))
+        alpha, beta = v / np.linalg.norm(v, axis=0)
+        expected = {0.0: (alpha, beta), np.pi: (-beta, alpha), -np.pi: (beta, -alpha)}[theta]
+        out = ry_update(alpha, beta, np.full(1000, theta))
+        assert np.array_equal(out[0], expected[0]) and np.array_equal(out[1], expected[1])
+        for i in range(20):  # scalar amplitudes and angle
+            a, b = ry_update(float(alpha[i]), float(beta[i]), theta)
+            assert (float(a), float(b)) == (float(expected[0][i]), float(expected[1][i]))
+
+    def test_one_where_and_no_branch(self):
+        tree = ast.parse(inspect.getsource(ry_update))
+        calls = [
+            n for n in ast.walk(tree)
+            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "where"
+        ]
+        assert len(calls) == 1
+        assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in ast.walk(tree))
 
 
 class TestProjectiveMeasure:
@@ -345,6 +370,9 @@ class TestQuantumForward:
         for layers, cfg in (
             (2, QuantumConfig(a=0.5)),
             (2, QuantumConfig(a=0.3, g=1.0)),
+            # the paper's weak-path points: exact angles next to generic ones
+            (3, QuantumConfig(a=0.0, g=5 * np.pi / 19)),
+            (3, QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)),
             # projective nets against the ry_update + projective_update oracle
             (3, QuantumConfig(a=0.1)),
             (3, QuantumConfig(a=0.316227766)),

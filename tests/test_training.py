@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from qmlp.data import EncodedDataset
-from qmlp.inference import InferencePolicy
 from qmlp.network import NetworkParams, init_network_params
 from qmlp import training
 from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
@@ -90,13 +89,13 @@ class TestHyperparams:
 
     def test_validation(self):
         with pytest.raises(ConfigInvalid):
-            tiny_hyper(learning_rate=0.0).validate()
+            tiny_hyper(learning_rate=0.0)
         with pytest.raises(ConfigInvalid):
-            tiny_hyper(batch_size=0).validate()
+            tiny_hyper(batch_size=0)
         with pytest.raises(ConfigInvalid):
-            tiny_hyper(momentum=1.0).validate()
+            tiny_hyper(momentum=1.0)
         with pytest.raises(ConfigInvalid):
-            tiny_hyper(epochs=-1).validate()
+            tiny_hyper(epochs=-1)
 
 
 class TestTrain:
@@ -185,13 +184,12 @@ class TestTrain:
         train(tiny_hyper(epochs=2), train_set, val_set, on_epoch=seen.append)
         assert [r.epoch for r in seen] == [0, 1]
 
-    def test_multi_shot_eval_policy(self, tiny_data):
+    def test_label_beyond_num_classes_is_config_error(self, tiny_data):
         train_set, val_set = tiny_data
-        hyper = tiny_hyper(quantum=QuantumConfig(a=0.5), epochs=1)
-        metrics = train(
-            hyper, train_set, val_set, eval_policy=InferencePolicy.multi_shot(3, seed=1)
-        )
-        assert 0.0 <= metrics.records[0].val_error <= 1.0
+        top = int(train_set.y.max())
+        with pytest.raises(ConfigInvalid, match=f"training label {top} "):
+            train(tiny_hyper(num_classes=top), train_set, val_set)
+        assert train(tiny_hyper(num_classes=top + 1, epochs=0), train_set, val_set).records == []
 
     def test_learning_happens_on_tiny_problem(self):
         # trivially separable inputs: the loss should drop
