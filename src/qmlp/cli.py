@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .checkpoint import CheckpointCorrupt, load_checkpoint
+from .checkpoint import CheckpointCorrupt, load_checkpoint, write_atomic
 from .config import RunConfig, load_config
 from .inference import (
     EmptyDataset,
@@ -20,11 +20,13 @@ from .inference import (
     mode_over_shots,
     prediction_matrix,
 )
+from .network import ShapeMismatch
 from .sweep import ResultCorrupt, load_datasets, run_sweep, run_training_job
 from .training import ConfigInvalid
 
 _KNOWN_ERRORS = (
     ConfigInvalid,
+    ShapeMismatch,
     CheckpointCorrupt,
     ResultCorrupt,
     EmptyDataset,
@@ -89,7 +91,7 @@ def cmd_eval(args) -> int:
         out_dir = Path(args.out or ".")
         out_dir.mkdir(parents=True, exist_ok=True)
         curve_path = out_dir / "shots_curve.csv"
-        curve_path.write_text("\n".join(lines) + "\n")
+        write_atomic(curve_path, ("\n".join(lines) + "\n").encode("utf-8"))
         print(f"shots curve written to {curve_path}")
     return 0
 
@@ -162,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("train", "train one model and write its artifacts", cmd_train, job=True)
 
     p_sweep = add("sweep", "train every (a, g, seed) grid cell", cmd_sweep, job=True)
-    p_sweep.add_argument("--threads", type=int, default=1, help="worker processes")
+    p_sweep.add_argument("--threads", type=positive_int, default=1, help="worker processes")
 
     p_eval = add("eval", "evaluate a checkpoint on the validation set", cmd_eval)
     p_eval.add_argument("--out", help="directory for shots_curve.csv (default: .)")

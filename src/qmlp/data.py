@@ -146,6 +146,8 @@ def subset(dataset: RawDataset, n: int, seed: int) -> RawDataset:
     Uses a dedicated substream so the same subset can be held fixed across
     every point of an (a, g) sweep regardless of the training seed.
     """
+    if n < 0:
+        raise ValueError(f"subset size must be >= 0, got {n}")
     if n > dataset.count:
         raise SubsetTooLarge(f"requested {n} of {dataset.count} samples")
     idx = substream(seed, SUBSET).permutation(dataset.count)[:n]

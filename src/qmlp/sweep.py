@@ -8,12 +8,13 @@ owns one output directory containing:
     checkpoint.qckpt  final weights + optimizer state (deterministic bytes)
     result.json     summary row for the sweep CSV (includes wall time)
 
-checkpoint.qckpt and result.json are written through a temporary file and
-a rename, and result.json last. A cell whose result.json already exists is
-skipped wholesale, so re-running a finished sweep rewrites nothing and a
-crashed sweep resumes where it stopped; a result.json that does not parse
-raises ResultCorrupt. Cells are independent, which is what makes
---threads > 1 safe and result-invariant.
+checkpoint.qckpt, result.json and sweep.csv are written through a
+temporary file and a rename, a cell's result.json last; a job refused for
+its config or data touches no file. A cell whose result.json already
+exists is skipped wholesale, so re-running a finished sweep rewrites
+nothing and a crashed sweep resumes where it stopped; a result.json that
+does not parse raises ResultCorrupt. Cells are independent, which is what
+makes --threads > 1 safe and result-invariant.
 """
 
 from __future__ import annotations
@@ -26,11 +27,11 @@ from functools import lru_cache
 from pathlib import Path
 
 from .checkpoint import save_checkpoint, write_atomic
-from .config import RunConfig
+from .config import DataConfig, RunConfig
 from .data import encode_dataset, load_raw_dataset, subset
 from .inference import InferencePolicy, evaluate
 from .rng import mix64
-from .training import train, training_error
+from .training import check_datasets, train, training_error
 
 CSV_HEADER = "a,g,seed,final_val_error,final_train_error,best_val_error,wall_time_s"
 
@@ -40,27 +41,18 @@ class ResultCorrupt(ValueError):
 
 
 @lru_cache(maxsize=4)
-def _load_encoded(train_images, train_labels, val_images, val_labels,
-                  train_size, val_size, subset_seed):
-    train_raw = load_raw_dataset(train_images, train_labels)
-    val_raw = load_raw_dataset(val_images, val_labels)
-    train_raw = subset(train_raw, train_size, subset_seed)
+def _load_encoded(data: DataConfig, train_size: int, val_size: int):
+    train_raw = load_raw_dataset(data.train_images, data.train_labels)
+    val_raw = load_raw_dataset(data.val_images, data.val_labels)
+    train_raw = subset(train_raw, train_size, data.subset_seed)
     if val_size < val_raw.count:
         # dedicated val stream so the val subset is also sweep-invariant
-        val_raw = subset(val_raw, val_size, mix64(subset_seed, 1))
+        val_raw = subset(val_raw, val_size, mix64(data.subset_seed, 1))
     return encode_dataset(train_raw), encode_dataset(val_raw)
 
 
 def load_datasets(cfg: RunConfig):
-    return _load_encoded(
-        cfg.data.train_images,
-        cfg.data.train_labels,
-        cfg.data.val_images,
-        cfg.data.val_labels,
-        cfg.hyper.train_size,
-        cfg.hyper.val_size,
-        cfg.data.subset_seed,
-    )
+    return _load_encoded(cfg.data, cfg.hyper.train_size, cfg.hyper.val_size)
 
 
 def run_training_job(cfg: RunConfig, out_dir) -> dict:
@@ -74,8 +66,9 @@ def run_training_job(cfg: RunConfig, out_dir) -> dict:
             raise ResultCorrupt(
                 f"{result_path}: unreadable ({exc}); delete it to re-run this job"
             ) from exc
-    out_dir.mkdir(parents=True, exist_ok=True)
     train_set, val_set = load_datasets(cfg)
+    check_datasets(cfg.hyper, train_set, val_set)  # a refused job leaves out_dir as it was
+    out_dir.mkdir(parents=True, exist_ok=True)
 
     metrics_path = out_dir / "metrics.jsonl"
     start = time.perf_counter()
@@ -125,38 +118,21 @@ def cell_dir_name(a: float, g: float, seed: int) -> str:
     return f"a{a!r}_g{g!r}_s{seed}"
 
 
-def _run_cell(args):
-    cfg, a, g, seed, out_dir = args
-    return run_training_job(cfg.with_quantum(a, g, seed), Path(out_dir))
-
-
 def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
     """Run (a, g, seed) cells under out_dir/cells/, possibly in parallel."""
-    out_dir = Path(out_dir)
-    jobs = [
-        (cfg, a, g, seed, str(out_dir / "cells" / cell_dir_name(a, g, seed)))
-        for a, g, seed in cells
-    ]
-    if threads > 1 and len(jobs) > 1:
+    cfgs = [cfg.with_quantum(a, g, seed) for a, g, seed in cells]
+    dirs = [Path(out_dir) / "cells" / cell_dir_name(a, g, seed) for a, g, seed in cells]
+    if threads > 1 and len(cfgs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_run_cell, jobs))
-    else:
-        results = [_run_cell(job) for job in jobs]
-    return results
-
-
-def sweep_rows(results) -> list:
-    rows = sorted(results, key=lambda r: (r["a"], r["g"], r["seed"]))
-    return [
-        f'{r["a"]!r},{r["g"]!r},{r["seed"]},{r["final_val_error"]!r},'
-        f'{r["final_train_error"]!r},{r["best_val_error"]!r},{r["wall_time_s"]!r}'
-        for r in rows
-    ]
+            return list(pool.map(run_training_job, cfgs, dirs))
+    return list(map(run_training_job, cfgs, dirs))
 
 
 def write_sweep_csv(path, results):
-    lines = [CSV_HEADER] + sweep_rows(results)
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write one CSV_HEADER row per result, sorted by (a, g, seed)."""
+    rows = sorted(results, key=lambda r: (r["a"], r["g"], r["seed"]))
+    lines = [CSV_HEADER] + [",".join(str(r[k]) for k in CSV_HEADER.split(",")) for r in rows]
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def run_sweep(cfg: RunConfig, threads: int = 1):

@@ -66,6 +66,10 @@ class Hyperparams:
             raise ConfigInvalid(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 0:
             raise ConfigInvalid(f"epochs must be >= 0, got {self.epochs}")
+        if self.train_size < 0:
+            raise ConfigInvalid(f"train_size must be >= 0, got {self.train_size}")
+        if self.val_size < 1:
+            raise ConfigInvalid(f"val_size must be >= 1, got {self.val_size}")
         if self.bp_scale <= 0:
             raise ConfigInvalid(f"bp_scale must be > 0, got {self.bp_scale}")
         if self.num_classes < 2:
@@ -121,20 +125,18 @@ def training_error(params: NetworkParams, data: EncodedDataset) -> float:
     return float(np.mean(preds != data.y))
 
 
-def _sample_rngs(seed: int, epoch: int, batch: int, count: int):
-    return [substream(seed, FORWARD, epoch, batch, s) for s in range(count)]
-
-
-def _batch_gradients(params, X, y, cfg, seed, epoch, batch_idx, bp_scale):
-    D0 = X.T
-    if cfg.is_classical:
-        trace = classical_forward_batch(params, D0)
-    else:
-        rngs = _sample_rngs(seed, epoch, batch_idx, X.shape[0])
-        trace = quantum_forward_batch(params, D0, cfg, rngs)
-    losses, dF = softmax_cross_entropy_batch(trace.F, y)
-    grads = ste_backward_batch(params, trace, dF, bp_scale)
-    return grads, losses
+def check_datasets(hyper: Hyperparams, train_set: EncodedDataset, val_set: EncodedDataset):
+    """Raise ConfigInvalid or ShapeMismatch if `train` cannot run on these datasets."""
+    if train_set.count == 0 and hyper.epochs > 0:
+        raise ConfigInvalid("cannot train on an empty dataset")
+    top = train_set.y.max(initial=-1)
+    if top >= hyper.num_classes:
+        raise ConfigInvalid(f"training label {top} is not below num_classes={hyper.num_classes}")
+    if train_set.count and train_set.X.shape[1] != val_set.X.shape[1]:
+        raise ShapeMismatch(
+            f"train and validation inputs disagree: "
+            f"{train_set.X.shape[1]} vs {val_set.X.shape[1]} features"
+        )
 
 
 def train(
@@ -149,16 +151,7 @@ def train(
     append to a metrics log. The result holds the final weights and
     optimizer state.
     """
-    if train_set.count == 0 and hyper.epochs > 0:
-        raise ConfigInvalid("cannot train on an empty dataset")
-    top = train_set.y.max(initial=-1)
-    if top >= hyper.num_classes:
-        raise ConfigInvalid(f"training label {top} is not below num_classes={hyper.num_classes}")
-    if train_set.count and train_set.X.shape[1] != val_set.X.shape[1]:
-        raise ShapeMismatch(
-            f"train and validation inputs disagree: "
-            f"{train_set.X.shape[1]} vs {val_set.X.shape[1]} features"
-        )
+    check_datasets(hyper, train_set, val_set)
     params = init_network_params(
         input_size=train_set.X.shape[1],
         hidden_size=hyper.hidden_size,
@@ -171,17 +164,15 @@ def train(
     for epoch in range(hyper.epochs):
         plan = BatchPlan.make(train_set.count, hyper.batch_size, mix64(hyper.seed, SHUFFLE, epoch))
         loss_sum = 0.0
-        for batch_idx, idx in enumerate(plan.batches()):
-            grads, losses = _batch_gradients(
-                params,
-                train_set.X[idx],
-                train_set.y[idx],
-                hyper.quantum,
-                hyper.seed,
-                epoch,
-                batch_idx,
-                hyper.bp_scale,
-            )
+        for batch, idx in enumerate(plan.batches()):
+            X, y = train_set.X[idx], train_set.y[idx]
+            if hyper.quantum.is_classical:
+                trace = classical_forward_batch(params, X.T)
+            else:
+                rngs = [substream(hyper.seed, FORWARD, epoch, batch, s) for s in range(len(idx))]
+                trace = quantum_forward_batch(params, X.T, hyper.quantum, rngs)
+            losses, dF = softmax_cross_entropy_batch(trace.F, y)
+            grads = ste_backward_batch(params, trace, dF, hyper.bp_scale)
             sgd_momentum_step(params, opt, grads, hyper.learning_rate, hyper.momentum)
             loss_sum += float(losses.sum())
         record = EpochRecord(

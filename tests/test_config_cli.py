@@ -8,7 +8,7 @@ import yaml
 import qmlp.cli
 import qmlp.inference
 import qmlp.training
-from qmlp.checkpoint import load_checkpoint
+from qmlp.checkpoint import load_checkpoint, save_checkpoint
 from qmlp.cli import build_parser, main
 from qmlp.config import (
     apply_overrides,
@@ -16,10 +16,14 @@ from qmlp.config import (
     load_config,
     parse_angle,
 )
+from qmlp.data import RawDataset
 from qmlp.inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
+from qmlp.network import init_network_params
 from qmlp.quantum import HALF_PI
-from qmlp.sweep import CSV_HEADER, ResultCorrupt, load_datasets, run_training_job
+from qmlp.sweep import CSV_HEADER, ResultCorrupt, load_datasets, run_training_job, write_sweep_csv
 from qmlp.training import ConfigInvalid, train
+
+from synthdigits import write_idx_pair
 
 
 class TestParseAngle:
@@ -131,6 +135,13 @@ class TestOptionSurface:
             build_parser().parse_args(["eval", "--checkpoint", "c.qckpt", "--shots-curve", value])
         assert exc.value.code == 2
         assert "--shots-curve: must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_threads_below_one_is_rejected(self, value, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["sweep", "--threads", value])
+        assert exc.value.code == 2
+        assert "--threads: must be >= 1" in capsys.readouterr().err
 
     def test_sweep_takes_threads(self):
         args = build_parser().parse_args(["sweep", "--threads", "2", "--seed", "4"])
@@ -259,6 +270,41 @@ class TestTrainJob:
         assert rc == 1
         assert "num_classes=5" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("training.num_classes=5", "not below num_classes=5"),
+            ("training.train_size=161", "requested 161 of 160 samples"),
+            ("training.train_size=-5", "train_size must be >= 0, got -5"),
+            ("training.val_size=0", "val_size must be >= 1, got 0"),
+        ],
+    )
+    def test_refused_job_leaves_out_dir_as_it_was(
+        self, override, message, tmp_path, small_idx_dir, capsys
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+        earlier.mkdir()
+        (earlier / "metrics.jsonl").write_bytes(b'{"epoch": 0}\n')
+        for out in (fresh, earlier):
+            argv = ["train", "--config", str(cfg_path), "--out", str(out), "--set", override]
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+        assert not fresh.exists()
+        assert [p.name for p in earlier.iterdir()] == ["metrics.jsonl"]
+        assert (earlier / "metrics.jsonl").read_bytes() == b'{"epoch": 0}\n'
+
+    def test_train_and_val_image_sizes_differ(self, tmp_path, small_idx_dir, capsys):
+        small = RawDataset(np.zeros((40, 10, 10), np.uint8), np.arange(40) % 10)
+        write_idx_pair(small_idx_dir, small, "t10k")
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        fresh = tmp_path / "fresh"
+        assert main(["train", "--config", str(cfg_path), "--out", str(fresh)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "784 vs 100 features" in err
+        assert not fresh.exists()
+
 
 class TestSweep:
     def test_grid_csv_and_resume(self, tmp_path, small_idx_dir):
@@ -353,6 +399,18 @@ class TestSweep:
             }
         assert outs["t1"] == outs["t2"]
 
+    def test_csv_columns_follow_the_header(self, tmp_path):
+        cols = CSV_HEADER.split(",")
+        results = [
+            {**{k: 0.5 + i for i, k in enumerate(cols)}, "a": 1.0, "seed": 2, "epochs": 3},
+            {**{k: 0.25 * i for i, k in enumerate(cols)}, "a": 0.0, "seed": 1, "epochs": 3},
+        ]
+        write_sweep_csv(tmp_path / "sweep.csv", results)
+        assert (tmp_path / "sweep.csv").read_text() == (
+            f"{CSV_HEADER}\n0.0,0.25,1,0.75,1.0,1.25,1.5\n1.0,1.5,2,3.5,4.5,5.5,6.5\n"
+        )
+        assert [p.name for p in tmp_path.iterdir()] == ["sweep.csv"]
+
 
 class TestEval:
     def test_eval_and_shots_curve(self, tmp_path, small_idx_dir, capsys):
@@ -444,6 +502,14 @@ class TestEval:
         )
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    def test_checkpoint_of_another_input_size(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        ckpt = tmp_path / "narrow.qckpt"
+        save_checkpoint(ckpt, init_network_params(100, 16, 1, 10, np.random.default_rng(0)))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "784 features, network expects 100" in err
 
     def test_corrupt_checkpoint(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

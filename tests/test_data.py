@@ -133,6 +133,10 @@ class TestSubset:
     def test_empty_subset(self):
         assert subset(self.make(5), 0, seed=1).count == 0
 
+    def test_negative_size(self):
+        with pytest.raises(ValueError, match="subset size must be >= 0, got -1"):
+            subset(self.make(5), -1, seed=1)
+
     def test_too_large(self):
         with pytest.raises(SubsetTooLarge):
             subset(self.make(5), 6, seed=1)

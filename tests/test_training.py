@@ -96,6 +96,11 @@ class TestHyperparams:
             tiny_hyper(momentum=1.0)
         with pytest.raises(ConfigInvalid):
             tiny_hyper(epochs=-1)
+        with pytest.raises(ConfigInvalid, match="train_size must be >= 0, got -5"):
+            tiny_hyper(train_size=-5)
+        with pytest.raises(ConfigInvalid, match="val_size must be >= 1, got 0"):
+            tiny_hyper(val_size=0)
+        assert tiny_hyper(train_size=0, epochs=0).train_size == 0
 
 
 class TestTrain:
