@@ -22,8 +22,6 @@ from .data import (
     load_raw_dataset,
     parse_idx_images,
     parse_idx_labels,
-    serialize_idx_images,
-    serialize_idx_labels,
     subset,
 )
 from .inference import EmptyDataset, InferencePolicy, evaluate

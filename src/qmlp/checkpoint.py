@@ -85,10 +85,16 @@ def load_checkpoint(path):
         raise CheckpointCorrupt(f"{path}: truncated header")
     try:
         header = json.loads(data[16 : 16 + hlen].decode("utf-8"))
-        weight_shapes = [tuple(s) for s in header["weights"]]
-        velocity_shapes = [tuple(s) for s in header["velocity"]]
+        weight_shapes = [tuple(int(d) for d in s) for s in header["weights"]]
+        velocity_shapes = [tuple(int(d) for d in s) for s in header["velocity"]]
         epoch = int(header["epoch"])
         meta = header["meta"]
+        if not weight_shapes or any(len(s) != 2 or min(s) < 1 for s in weight_shapes):
+            raise ValueError(f"weight shapes {weight_shapes} are not non-empty matrices")
+        if any(w[1] != v[0] for v, w in zip(weight_shapes, weight_shapes[1:])):
+            raise ValueError(f"weight shapes {weight_shapes} do not chain")
+        if velocity_shapes != weight_shapes:
+            raise ValueError(f"velocity shapes {velocity_shapes} differ from the weights'")
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointCorrupt(f"{path}: bad header ({exc})") from exc
     offset = 16 + hlen

@@ -31,6 +31,8 @@ def parse_angle(value) -> float:
     if m:
         num = float(m.group("num")) if m.group("num") else 1.0
         den = float(m.group("den")) if m.group("den") else 1.0
+        if den == 0.0:
+            raise ConfigInvalid(f"angle {value!r} divides by zero")
         return num * math.pi / den
     try:
         return float(value)
@@ -116,7 +118,7 @@ def _converted_section(raw: dict, section: str) -> dict:
             out[key] = spec[key](value)
         except ConfigInvalid:
             raise
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"bad value for {section}.{key}: {exc}") from exc
     return out
 
@@ -132,21 +134,29 @@ def config_from_dict(raw: dict) -> RunConfig:
     hyper_kwargs = _converted_section(raw, "model")
     hyper_kwargs.update(_converted_section(raw, "training"))
     q = _converted_section(raw, "quantum")
+    sweep = _converted_section(raw, "sweep")
+    for key, values in sweep.items():  # a repeat would train one cell twice, into one directory
+        if not values or len(set(values)) != len(values):
+            raise ConfigInvalid(f"sweep.{key} is empty or repeats a value: {list(values)}")
     try:
         quantum = QuantumConfig(a=q.get("a", 0.0), g=q.get("g", HALF_PI))
+        a_values = sweep.get("a_values", (quantum.a,))
+        g_values = sweep.get("g_values", (quantum.g,))
+        for a in a_values:  # every cell's point, before any cell starts
+            for g in g_values:
+                QuantumConfig(a=a, g=g)
         hyper = Hyperparams(quantum=quantum, **hyper_kwargs)
         policy = InferencePolicy(**_converted_section(raw, "inference"))
     except ValueError as exc:
         if isinstance(exc, ConfigInvalid):
             raise
         raise ConfigInvalid(str(exc)) from exc
-    sweep = _converted_section(raw, "sweep")
     return RunConfig(
         data=data,
         hyper=hyper,
         policy=policy,
-        a_values=sweep.get("a_values", (quantum.a,)),
-        g_values=sweep.get("g_values", (quantum.g,)),
+        a_values=a_values,
+        g_values=g_values,
         seeds=sweep.get("seeds", (hyper.seed,)),
         out_dir=str(raw.get("out_dir", "runs/run")),
     )

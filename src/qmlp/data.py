@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .network import ShapeMismatch
 from .rng import SHUFFLE, SUBSET, substream
 
 IMAGE_MAGIC = 0x00000803
@@ -47,9 +48,9 @@ class RawDataset:
 
     def __post_init__(self):
         if self.images.ndim != 3:
-            raise ValueError(f"images must be (n, rows, cols), got {self.images.shape}")
+            raise ShapeMismatch(f"images must be (n, rows, cols), got {self.images.shape}")
         if len(self.images) != len(self.labels):
-            raise ValueError(
+            raise ShapeMismatch(
                 f"image/label count mismatch: {len(self.images)} vs {len(self.labels)}"
             )
 
@@ -110,18 +111,6 @@ def parse_idx_labels(data: bytes) -> np.ndarray:
     return labels.astype(np.int64)
 
 
-def serialize_idx_images(images: np.ndarray) -> bytes:
-    """Inverse of parse_idx_images; parsing the result is byte-identical."""
-    images = np.asarray(images, dtype=np.uint8)
-    n, rows, cols = images.shape
-    return struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols) + images.tobytes()
-
-
-def serialize_idx_labels(labels: np.ndarray) -> bytes:
-    labels = np.asarray(labels)
-    return struct.pack(">II", LABEL_MAGIC, len(labels)) + labels.astype(np.uint8).tobytes()
-
-
 def read_idx(path, parse):
     """Read one IDX file and parse it; parse errors are re-raised with the path prepended."""
     with open(path, "rb") as fh:
@@ -134,10 +123,12 @@ def read_idx(path, parse):
 
 def load_raw_dataset(images_path, labels_path) -> RawDataset:
     """Read and parse an IDX image/label file pair from local paths."""
-    return RawDataset(
-        images=read_idx(images_path, parse_idx_images),
-        labels=read_idx(labels_path, parse_idx_labels),
-    )
+    images = read_idx(images_path, parse_idx_images)
+    labels = read_idx(labels_path, parse_idx_labels)
+    try:
+        return RawDataset(images=images, labels=labels)
+    except ShapeMismatch as exc:
+        raise ShapeMismatch(f"{images_path}, {labels_path}: {exc}") from exc
 
 
 def subset(dataset: RawDataset, n: int, seed: int) -> RawDataset:

@@ -18,13 +18,20 @@ Conventions
   ascending. Both facts are reproducibility contracts.
 
 The channel is tuned by two knobs: the activation stretch `a` (a = 0 gives
-hard sign targets, so rotation angles are 0 or +-pi and the circuit is
-deterministic) and the entanglement angle `g` (g = pi/2 makes the ancilla
-measurement equivalent to a projective measurement of the neuron). After a
-projective measurement the qubit is in |d_prev>, and rotating that gives
-p(+1) = (1 + sin(pi/2 * phi_a(z))) / 2 whatever d_prev is, so the g = pi/2
-pass samples p(+1) and stores no amplitudes. As sin(+-pi/2) = +-1 exactly,
-(a=0, g=pi/2) reproduces the classical binarized network bit-for-bit.
+hard sign targets, so rotation angles are 0 or +-pi) and the entanglement
+angle `g` (g = pi/2 makes the ancilla measurement equivalent to a projective
+measurement of the neuron).
+
+Pole rule: where g = pi/2 or a = 0, measurement leaves every qubit on a pole
+(|0> or |1>, up to sign), so no amplitudes are stored. Let s be the pole and
+d_prev the last outcome, and carry t = s * d_prev (1 for |0> before layer 1).
+Rotating the pole gives <Z> = t * sin(pi/2 * phi_a(z)), and the outcome is
++1 with probability (1 + <Z> sin g) / 2. After a projective measurement the
+qubit is |d>, so t = 1. At a = 0 the rotation maps a pole to a pole and the
+weak measurement leaves it there, so t = <Z> * d. As sin(+-pi/2) = +-1
+exactly, (a=0, g=pi/2) reproduces the classical binarized network
+bit-for-bit. Only a > 0 with g < pi/2 carries amplitudes through ry_update
+and weak_update.
 """
 
 from __future__ import annotations
@@ -46,8 +53,8 @@ class QuantumConfig:
     g: float = HALF_PI
 
     def __post_init__(self):
-        if self.a < 0:
-            raise ValueError(f"stretch a must be >= 0, got {self.a}")
+        if not 0.0 <= self.a < np.inf:  # written so that NaN fails too
+            raise ValueError(f"stretch a must be finite and >= 0, got {self.a}")
         if not 0.0 <= self.g <= HALF_PI:
             raise ValueError(f"entanglement angle g must be in [0, pi/2], got {self.g}")
 
@@ -125,8 +132,10 @@ def quantum_forward_batch(
 
     Columns of D0 (M, B) are samples. Qubits start in |0>. Per layer: rotate
     each qubit by the angle computed from the previous measured activations,
-    then measure it (with g = pi/2 by its closed-form p(+1), weakly otherwise);
-    the outcomes are the layer's activations. Column s draws L * n uniforms from
+    then measure it; the outcomes are the layer's activations. Where g = pi/2
+    or a = 0 every qubit stays on a pole and p(+1) is sampled in closed form
+    (see the module docstring); otherwise the amplitudes go through ry_update
+    and weak_update. Column s draws L * n uniforms from
     sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
     activations do not depend on the batch it is in.
     """
@@ -139,7 +148,7 @@ def quantum_forward_batch(
     B = D0.shape[1]
     if len(sample_rngs) != B:
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
-    projective = cfg.g == HALF_PI
+    pole = cfg.g == HALF_PI or cfg.a == 0.0
     sin_g = np.sin(cfg.g)
     alpha, beta, prev = 1.0, 0.0, 1.0  # |0>, and its outcome; broadcast by layer 1
     Z_list, D_list = [], [D0]
@@ -150,8 +159,11 @@ def quantum_forward_batch(
             U[:, :, s] = rng.random((L, n))
     for k in range(1, L + 1):
         Z = params.W[k - 1] @ D_list[k - 1]
-        if projective:
-            D = np.where(U[k - 1] < 0.5 * (1.0 + np.sin(HALF_PI * phi_a(Z, cfg.a))), 1.0, -1.0)
+        if pole:  # prev is t = pole * last outcome
+            z_mean = prev * np.sin(HALF_PI * phi_a(Z, cfg.a))
+            D = np.where(U[k - 1] < 0.5 * (1.0 + z_mean * sin_g), 1.0, -1.0)
+            if cfg.a == 0.0:  # the pole did not move; at g = pi/2 this keeps t = 1
+                prev = z_mean * D
         else:
             theta = HALF_PI * (prev - phi_a(Z, cfg.a))
             alpha, beta = ry_update(alpha, beta, theta)

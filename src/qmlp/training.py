@@ -58,8 +58,8 @@ class Hyperparams:
             raise ConfigInvalid(f"hidden_layers must be >= 0, got {self.hidden_layers}")
         if self.hidden_size < 1:
             raise ConfigInvalid(f"hidden_size must be >= 1, got {self.hidden_size}")
-        if self.learning_rate <= 0:
-            raise ConfigInvalid(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 < self.learning_rate < np.inf:  # written so that NaN fails too
+            raise ConfigInvalid(f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ConfigInvalid(f"momentum must be in [0, 1), got {self.momentum}")
         if self.batch_size < 1:
@@ -70,8 +70,8 @@ class Hyperparams:
             raise ConfigInvalid(f"train_size must be >= 0, got {self.train_size}")
         if self.val_size < 1:
             raise ConfigInvalid(f"val_size must be >= 1, got {self.val_size}")
-        if self.bp_scale <= 0:
-            raise ConfigInvalid(f"bp_scale must be > 0, got {self.bp_scale}")
+        if not 0.0 < self.bp_scale < np.inf:
+            raise ConfigInvalid(f"bp_scale must be finite and > 0, got {self.bp_scale}")
         if self.num_classes < 2:
             raise ConfigInvalid(f"num_classes must be >= 2, got {self.num_classes}")
 

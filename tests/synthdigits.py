@@ -8,9 +8,11 @@ are available; generation is a pure function of (n, seed).
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 
-from qmlp.data import RawDataset, serialize_idx_images, serialize_idx_labels
+from qmlp.data import IMAGE_MAGIC, LABEL_MAGIC, RawDataset
 
 _FONT = {
     0: "01110 10001 10011 10101 11001 10001 01110",
@@ -63,6 +65,19 @@ def render_digit(digit: int, rng: np.random.Generator) -> np.ndarray:
     canvas = _blur(canvas)
     canvas += rng.normal(0.0, rng.uniform(8.0, 25.0), size=canvas.shape)
     return np.clip(np.rint(canvas), 0, 255).astype(np.uint8)
+
+
+def serialize_idx_images(images: np.ndarray) -> bytes:
+    """Inverse of qmlp.data.parse_idx_images; parsing the result is byte-identical."""
+    images = np.asarray(images, dtype=np.uint8)
+    n, rows, cols = images.shape
+    return struct.pack(">IIII", IMAGE_MAGIC, n, rows, cols) + images.tobytes()
+
+
+def serialize_idx_labels(labels: np.ndarray) -> bytes:
+    """Inverse of qmlp.data.parse_idx_labels."""
+    labels = np.asarray(labels)
+    return struct.pack(">II", LABEL_MAGIC, len(labels)) + labels.astype(np.uint8).tobytes()
 
 
 def make_raw_dataset(n: int, seed: int) -> RawDataset:

@@ -7,7 +7,7 @@ from qmlp.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
-from qmlp.network import init_network_params
+from qmlp.network import NetworkParams, init_network_params
 from qmlp.training import OptimizerState
 
 
@@ -64,4 +64,23 @@ def test_unknown_version(tmp_path, params):
     path = tmp_path / "vers.qckpt"
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointCorrupt):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "weights, velocity, message",
+    [
+        ([(3, 6), (5, 2)], [(3, 6), (5, 2)], "do not chain"),
+        ([(3, 6), (5, 3)], [(3, 6), (3, 5)], "differ from the weights'"),
+        ([(3, 6), (5, 3)], [(3, 6)], "differ from the weights'"),
+        ([], [], "are not non-empty matrices"),
+        ([(0, 6), (5, 0)], [(0, 6), (5, 0)], "are not non-empty matrices"),
+    ],
+)
+def test_inconsistent_shapes(tmp_path, weights, velocity, message):
+    params = NetworkParams([np.zeros(s) for s in weights])
+    opt = OptimizerState([np.zeros(s) for s in velocity])
+    path = tmp_path / "shapes.qckpt"
+    path.write_bytes(checkpoint_bytes(params, opt))
+    with pytest.raises(CheckpointCorrupt, match=message):
         load_checkpoint(path)

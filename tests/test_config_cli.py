@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from qmlp.config import (
 )
 from qmlp.data import RawDataset
 from qmlp.inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
-from qmlp.network import init_network_params
+from qmlp.network import NetworkParams, init_network_params
 from qmlp.quantum import HALF_PI
 from qmlp.sweep import CSV_HEADER, ResultCorrupt, load_datasets, run_training_job, write_sweep_csv
 from qmlp.training import ConfigInvalid, train
@@ -42,6 +43,10 @@ class TestParseAngle:
     def test_rejects_garbage(self):
         with pytest.raises(ConfigInvalid):
             parse_angle("two pies")
+
+    def test_rejects_zero_denominator(self):
+        with pytest.raises(ConfigInvalid, match="divides by zero"):
+            parse_angle("pi/0")
 
 
 class TestConfig:
@@ -84,6 +89,33 @@ class TestConfig:
             config_from_dict({"quantum": {"g": 9.0}})
         with pytest.raises(ConfigInvalid):
             config_from_dict({"training": {"momentum": 1.5}})
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("quantum.a=.nan", "stretch a must be finite and >= 0, got nan"),
+            ("quantum.a=.inf", "stretch a must be finite and >= 0, got inf"),
+            ("training.learning_rate=.nan", "learning_rate must be finite and > 0, got nan"),
+            ("training.learning_rate=.inf", "learning_rate must be finite and > 0, got inf"),
+            ("training.bp_scale=.nan", "bp_scale must be finite and > 0, got nan"),
+            ("training.bp_scale=.inf", "bp_scale must be finite and > 0, got inf"),
+            ("training.epochs=.inf", "bad value for training.epochs"),
+            ("quantum.g=pi/0", "divides by zero"),
+            ("sweep.a_values=[-1.0]", "stretch a must be finite and >= 0, got -1.0"),
+            ("sweep.a_values=[.nan]", "stretch a must be finite and >= 0, got nan"),
+            ("sweep.g_values=[pi/2, 2.0]", "angle g must be in [0, pi/2], got 2.0"),
+            ("sweep.a_values=[0.0, -0.0]", "sweep.a_values is empty or repeats a value"),
+            (
+                "sweep.g_values=[pi/2, 1.5707963267948966]",
+                "sweep.g_values is empty or repeats a value",
+            ),
+            ("sweep.seeds=[3, 1, 3]", "sweep.seeds is empty or repeats a value"),
+            ("sweep.g_values=[]", "sweep.g_values is empty or repeats a value"),
+        ],
+    )
+    def test_every_value_is_checked_on_load(self, override, message):
+        with pytest.raises(ConfigInvalid, match=re.escape(message)):
+            load_config(None, [override])
 
     def test_set_overrides(self):
         raw = apply_overrides({}, ["training.epochs=3", "quantum.a=0.25"])
@@ -295,6 +327,35 @@ class TestTrainJob:
         assert [p.name for p in earlier.iterdir()] == ["metrics.jsonl"]
         assert (earlier / "metrics.jsonl").read_bytes() == b'{"epoch": 0}\n'
 
+    @pytest.mark.parametrize(
+        "override",
+        [
+            "quantum.a=.nan",
+            "training.learning_rate=.nan",
+            "training.learning_rate=.inf",
+            "training.bp_scale=.nan",
+            "quantum.g=pi/0",
+        ],
+    )
+    def test_unusable_value_is_refused(self, override, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        fresh = tmp_path / "fresh"
+        argv = ["train", "--config", str(cfg_path), "--out", str(fresh), "--set", override]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not fresh.exists()
+
+    def test_image_and_label_counts_differ(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        train_labels = small_idx_dir / "train-labels-idx1-ubyte"
+        fresh = tmp_path / "fresh"
+        argv = ["train", "--config", str(cfg_path), "--out", str(fresh),
+                "--set", f"data.val_labels={train_labels}"]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "image/label count mismatch: 80 vs 160" in err
+        assert not fresh.exists()
+
     def test_train_and_val_image_sizes_differ(self, tmp_path, small_idx_dir, capsys):
         small = RawDataset(np.zeros((40, 10, 10), np.uint8), np.arange(40) % 10)
         write_idx_pair(small_idx_dir, small, "t10k")
@@ -336,6 +397,26 @@ class TestSweep:
         assert main(args) == 0
         after = {p.name: (p / "metrics.jsonl").read_bytes() for p in cell_dirs}
         assert before == after
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ("sweep.a_values=[0.0, 0.0]", "sweep.a_values is empty or repeats a value"),
+            ("sweep.a_values=[]", "sweep.a_values is empty or repeats a value"),
+            ("sweep.a_values=[-1.0]", "stretch a must be finite and >= 0"),
+            ("sweep.a_values=[.nan]", "stretch a must be finite and >= 0"),
+            ("sweep.g_values=[pi/2, 2.0]", "angle g must be in [0, pi/2], got 2.0"),
+        ],
+    )
+    def test_bad_grid_is_refused_before_any_cell(
+        self, override, message, tmp_path, small_idx_dir, capsys
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        argv = ["sweep", "--config", str(cfg_path), "--threads", "2", "--set", override]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "out").exists()
 
     def test_single_cell_matches_cmd_train(self, tmp_path, small_idx_dir):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
@@ -510,6 +591,14 @@ class TestEval:
         assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "784 features, network expects 100" in err
+
+    def test_checkpoint_whose_weights_do_not_chain(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        ckpt = tmp_path / "unchained.qckpt"
+        save_checkpoint(ckpt, NetworkParams([np.zeros((3, 784)), np.zeros((5, 2))]))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "do not chain" in err
 
     def test_corrupt_checkpoint(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

@@ -13,14 +13,15 @@ from qmlp.data import (
     SubsetTooLarge,
     TruncatedFile,
     encode_dataset,
+    load_raw_dataset,
     parse_idx_images,
     parse_idx_labels,
-    serialize_idx_images,
-    serialize_idx_labels,
     subset,
 )
+from qmlp.network import ShapeMismatch
 
 from conftest import mnist_dir
+from synthdigits import serialize_idx_images, serialize_idx_labels
 
 
 def image_bytes(n, rows=28, cols=28, fill=None, rng=None):
@@ -103,6 +104,13 @@ class TestIdxParsing:
         assert serialize_idx_images(parse_idx_images(img_blob)) == img_blob
         lab_blob = label_bytes(list(rng.integers(0, 10, size=17)))
         assert serialize_idx_labels(parse_idx_labels(lab_blob)) == lab_blob
+
+    def test_count_mismatch_names_both_files(self, tmp_path):
+        images, labels = tmp_path / "three-images", tmp_path / "two-labels"
+        images.write_bytes(image_bytes(3))
+        labels.write_bytes(label_bytes([1, 2]))
+        with pytest.raises(ShapeMismatch, match="two-labels: image/label count mismatch: 3 vs 2"):
+            load_raw_dataset(images, labels)
 
 
 class TestSubset:

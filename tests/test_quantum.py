@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qmlp.quantum
-from qmlp.network import classical_forward_batch, init_network_params
+from qmlp.network import classical_forward_batch, init_network_params, sign
 from qmlp.quantum import (
     HALF_PI,
     QuantumConfig,
@@ -377,6 +377,9 @@ class TestQuantumForward:
             (3, QuantumConfig(a=0.1)),
             (3, QuantumConfig(a=0.316227766)),
             (3, QuantumConfig(a=1.0)),
+            # a = 0 weak nets: the pole branch against the amplitude oracle
+            (3, QuantumConfig(a=0.0, g=np.pi / 19)),
+            (3, QuantumConfig(a=0.0, g=0.0)),
         ):
             if params.num_hidden_layers != layers:
                 params = init_network_params(6, 5, layers, 3, rng)
@@ -414,6 +417,45 @@ class TestQuantumForward:
         assert np.array_equal(before.F, after.F)
         with pytest.raises(AssertionError):  # the weak path still rotates amplitudes
             quantum_forward_batch(params, X, QuantumConfig(a=0.3, g=1.0), streams())
+
+    @pytest.mark.parametrize("g", [0.0, np.pi / 19, 5 * np.pi / 19, 9 * np.pi / 19])
+    def test_a_zero_axis_needs_no_amplitude_kernels(self, g, monkeypatch):
+        rng = np.random.default_rng(27)
+        params = init_network_params(6, 5, 3, 3, rng)
+        X = rng.uniform(0, 1, size=(6, 16))
+        cfg = QuantumConfig(a=0.0, g=g)
+
+        def streams():
+            return [substream(4, FORWARD, s) for s in range(16)]
+
+        def refuse(*args):
+            raise AssertionError("amplitude kernel called")
+
+        before = quantum_forward_batch(params, X, cfg, streams())
+        for name in ("ry_update", "weak_update", "projective_update"):
+            monkeypatch.setattr(qmlp.quantum, name, refuse)
+        after = quantum_forward_batch(params, X, cfg, streams())
+        for d_before, d_after in zip(before.D, after.D):
+            assert np.array_equal(d_before, d_after)
+        assert np.array_equal(before.F, after.F)
+        with pytest.raises(AssertionError):  # a > 0 with g < pi/2 still rotates amplitudes
+            quantum_forward_batch(params, X, QuantumConfig(a=0.3, g=1.0), streams())
+
+    def test_a_zero_flip_rates(self):
+        # A weak flip leaves the qubit on its pole and keys the next rotation on the
+        # outcome, so d != sign(z) at rate q in layer 1 and 2q(1 - q) after.
+        rng = np.random.default_rng(28)
+        params = init_network_params(20, 256, 3, 10, rng)
+        B, g = 128, 5 * np.pi / 19
+        trace = quantum_forward_batch(
+            params, rng.uniform(0, 1, size=(20, B)), QuantumConfig(a=0.0, g=g),
+            [substream(6, FORWARD, s) for s in range(B)],
+        )
+        q = 0.5 * (1.0 - np.sin(g))
+        for k, expected in enumerate((q, 2 * q * (1 - q), 2 * q * (1 - q))):
+            rate = np.mean(trace.D[k + 1] != sign(trace.Z[k]))
+            sigma = np.sqrt(expected * (1 - expected) / trace.Z[k].size)
+            assert abs(rate - expected) <= 4 * sigma, f"layer {k + 1}: {rate} vs {expected}"
 
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     def test_classical_limit_exact_for_extreme_draws(self, u):
