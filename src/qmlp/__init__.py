@@ -9,31 +9,4 @@ implementation (see the submodules); batches are column-major, features x
 samples.
 """
 
-from .checkpoint import CheckpointCorrupt, load_checkpoint, save_checkpoint
-from .config import RunConfig, load_config, parse_angle
-from .data import (
-    EncodedDataset,
-    LabelOutOfRange,
-    MagicMismatch,
-    RawDataset,
-    SubsetTooLarge,
-    TruncatedFile,
-    encode_dataset,
-    load_raw_dataset,
-    parse_idx_images,
-    parse_idx_labels,
-    subset,
-)
-from .inference import EmptyDataset, InferencePolicy, evaluate
-from .network import NetworkParams, ShapeMismatch, htanh, init_network_params, sign
-from .quantum import HALF_PI, QuantumConfig, phi_a
-from .training import (
-    ConfigInvalid,
-    Hyperparams,
-    OptimizerState,
-    RunMetrics,
-    sgd_momentum_step,
-    train,
-)
-
 __version__ = "0.1.0"

@@ -24,14 +24,14 @@ import struct
 
 import numpy as np
 
-from .network import NetworkParams
+from .network import NetworkParams, QmlpError
 from .training import OptimizerState
 
 MAGIC = b"QMLPCKPT"
 VERSION = 1
 
 
-class CheckpointCorrupt(ValueError):
+class CheckpointCorrupt(QmlpError):
     """Checkpoint file is malformed, truncated, or of an unknown version."""
 
 

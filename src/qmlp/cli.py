@@ -11,39 +11,16 @@ from pathlib import Path
 import numpy as np
 
 from . import data as data_mod
-from .checkpoint import CheckpointCorrupt, load_checkpoint, write_atomic
+from .checkpoint import load_checkpoint, write_atomic
 from .config import RunConfig, load_config
-from .inference import (
-    EmptyDataset,
-    InferencePolicy,
-    evaluate,
-    mode_over_shots,
-    prediction_matrix,
-)
-from .network import ShapeMismatch
-from .sweep import ResultCorrupt, load_datasets, run_sweep, run_training_job
-from .training import ConfigInvalid
-
-_KNOWN_ERRORS = (
-    ConfigInvalid,
-    ShapeMismatch,
-    CheckpointCorrupt,
-    ResultCorrupt,
-    EmptyDataset,
-    data_mod.MagicMismatch,
-    data_mod.TruncatedFile,
-    data_mod.LabelOutOfRange,
-    data_mod.SubsetTooLarge,
-    OSError,
-)
+from .inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
+from .network import QmlpError
+from .sweep import load_datasets, run_sweep, run_training_job
 
 
 def _job_config(args) -> RunConfig:
-    """The run config of train and sweep: --seed and --out applied last."""
-    sets = list(args.set or [])
-    if args.seed is not None:
-        sets.append(f"training.seed={args.seed}")
-    cfg = load_config(args.config, sets)
+    """The run config of train and sweep: --out applied last."""
+    cfg = load_config(args.config, args.set or ())
     return replace(cfg, out_dir=str(args.out)) if args.out else cfg
 
 
@@ -127,7 +104,7 @@ def cmd_fetch_check(args) -> int:
     for path in paths:
         try:
             print(_check_idx_file(path))
-        except _KNOWN_ERRORS as exc:
+        except (QmlpError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             failures += 1
     return 1 if failures else 0
@@ -157,7 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
         if job:
             p.add_argument("--out", help="output directory (overrides config out_dir)")
-            p.add_argument("--seed", type=int, help="override the training seed")
         p.set_defaults(func=func)
         return p
 
@@ -186,7 +162,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _KNOWN_ERRORS as exc:
+    except (QmlpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

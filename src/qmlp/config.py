@@ -14,8 +14,9 @@ from dataclasses import dataclass, field, replace
 import yaml
 
 from .inference import InferencePolicy
+from .network import ConfigInvalid
 from .quantum import HALF_PI, QuantumConfig
-from .training import ConfigInvalid, Hyperparams
+from .training import Hyperparams
 
 _ANGLE_RE = re.compile(
     r"^\s*(?P<num>\d+(?:\.\d+)?)?\s*\*?\s*pi\s*(?:/\s*(?P<den>\d+(?:\.\d+)?))?\s*$",
@@ -25,6 +26,8 @@ _ANGLE_RE = re.compile(
 
 def parse_angle(value) -> float:
     """Parse "pi/2"-style fractions of pi, or any plain number, to radians."""
+    if isinstance(value, bool):
+        raise ConfigInvalid(f"angle {value!r} is not a number")
     if isinstance(value, (int, float)):
         return float(value)
     m = _ANGLE_RE.match(str(value))
@@ -64,43 +67,56 @@ class RunConfig:
         return replace(self, hyper=hyper)
 
 
-# YAML schema: section -> {key: (target dataclass field, converter)}
+def _integer(value) -> int:
+    """An int, or a float with no fractional part (3.0 loads as 3; 2.7 and true are refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
+def _real(value) -> float:
+    if isinstance(value, bool):
+        raise ValueError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+# YAML schema: section -> {key: converter}
 _SCHEMA = {
     "data": {
         "train_images": str,
         "train_labels": str,
         "val_images": str,
         "val_labels": str,
-        "subset_seed": int,
+        "subset_seed": _integer,
     },
     "model": {
-        "hidden_layers": int,
-        "hidden_size": int,
+        "hidden_layers": _integer,
+        "hidden_size": _integer,
     },
     "training": {
-        "learning_rate": float,
-        "momentum": float,
-        "batch_size": int,
-        "epochs": int,
-        "train_size": int,
-        "val_size": int,
-        "seed": int,
-        "bp_scale": float,
-        "num_classes": int,
+        "learning_rate": _real,
+        "momentum": _real,
+        "batch_size": _integer,
+        "epochs": _integer,
+        "train_size": _integer,
+        "val_size": _integer,
+        "seed": _integer,
+        "bp_scale": _real,
+        "num_classes": _integer,
     },
     "quantum": {
-        "a": float,
+        "a": _real,
         "g": parse_angle,
     },
     "inference": {
         "mode": str,
-        "shots": int,
-        "seed": int,
+        "shots": _integer,
+        "seed": _integer,
     },
     "sweep": {
-        "a_values": lambda v: tuple(float(x) for x in v),
+        "a_values": lambda v: tuple(_real(x) for x in v),
         "g_values": lambda v: tuple(parse_angle(x) for x in v),
-        "seeds": lambda v: tuple(int(x) for x in v),
+        "seeds": lambda v: tuple(_integer(x) for x in v),
     },
 }
 
@@ -116,8 +132,6 @@ def _converted_section(raw: dict, section: str) -> dict:
             raise ConfigInvalid(f"unknown config key {section}.{key}")
         try:
             out[key] = spec[key](value)
-        except ConfigInvalid:
-            raise
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigInvalid(f"bad value for {section}.{key}: {exc}") from exc
     return out
@@ -138,19 +152,14 @@ def config_from_dict(raw: dict) -> RunConfig:
     for key, values in sweep.items():  # a repeat would train one cell twice, into one directory
         if not values or len(set(values)) != len(values):
             raise ConfigInvalid(f"sweep.{key} is empty or repeats a value: {list(values)}")
-    try:
-        quantum = QuantumConfig(a=q.get("a", 0.0), g=q.get("g", HALF_PI))
-        a_values = sweep.get("a_values", (quantum.a,))
-        g_values = sweep.get("g_values", (quantum.g,))
-        for a in a_values:  # every cell's point, before any cell starts
-            for g in g_values:
-                QuantumConfig(a=a, g=g)
-        hyper = Hyperparams(quantum=quantum, **hyper_kwargs)
-        policy = InferencePolicy(**_converted_section(raw, "inference"))
-    except ValueError as exc:
-        if isinstance(exc, ConfigInvalid):
-            raise
-        raise ConfigInvalid(str(exc)) from exc
+    quantum = QuantumConfig(a=q.get("a", 0.0), g=q.get("g", HALF_PI))
+    a_values = sweep.get("a_values", (quantum.a,))
+    g_values = sweep.get("g_values", (quantum.g,))
+    for a in a_values:  # every cell's point, before any cell starts
+        for g in g_values:
+            QuantumConfig(a=a, g=g)
+    hyper = Hyperparams(quantum=quantum, **hyper_kwargs)
+    policy = InferencePolicy(**_converted_section(raw, "inference"))
     return RunConfig(
         data=data,
         hyper=hyper,
@@ -176,7 +185,10 @@ def apply_overrides(raw: dict, sets) -> dict:
             node = node.setdefault(key, {})
             if not isinstance(node, dict):
                 raise ConfigInvalid(f"--set {dotted}: {key} is not a section")
-        node[keys[-1]] = yaml.safe_load(text)
+        try:
+            node[keys[-1]] = yaml.safe_load(text)
+        except yaml.YAMLError as exc:
+            raise ConfigInvalid(f"cannot parse --set {item!r}: {exc}") from exc
     return raw
 
 

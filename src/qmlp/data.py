@@ -16,26 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import ShapeMismatch
+from .network import QmlpError, ShapeMismatch
 from .rng import SHUFFLE, SUBSET, substream
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 
 
-class MagicMismatch(ValueError):
+class MagicMismatch(QmlpError):
     """File does not start with the expected IDX magic word."""
 
 
-class TruncatedFile(ValueError):
+class TruncatedFile(QmlpError):
     """File is shorter than its header declares."""
 
 
-class LabelOutOfRange(ValueError):
+class LabelOutOfRange(QmlpError):
     """A label byte is outside 0..9."""
 
 
-class SubsetTooLarge(ValueError):
+class SubsetTooLarge(QmlpError):
     """Requested more samples than the dataset contains."""
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import EncodedDataset
-from .network import NetworkParams, classical_forward_batch
+from .network import ConfigInvalid, NetworkParams, QmlpError, classical_forward_batch
 from .quantum import QuantumConfig, quantum_forward_batch
 from .rng import EVAL, substream
 
@@ -22,7 +22,7 @@ _EVAL_CHUNK = 512
 _SEED_HIGH = 1 << 64
 
 
-class EmptyDataset(ValueError):
+class EmptyDataset(QmlpError):
     """Evaluation was asked for an empty dataset."""
 
 
@@ -34,9 +34,9 @@ class InferencePolicy:
 
     def __post_init__(self):
         if self.mode not in ("deterministic", "multi_shot"):
-            raise ValueError(f"unknown inference mode {self.mode!r}")
+            raise ConfigInvalid(f"unknown inference mode {self.mode!r}")
         if self.shots < 1:
-            raise ValueError(f"shots must be >= 1, got {self.shots}")
+            raise ConfigInvalid(f"shots must be >= 1, got {self.shots}")
 
     @classmethod
     def deterministic(cls) -> "InferencePolicy":

@@ -15,8 +15,19 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class ShapeMismatch(ValueError):
+class QmlpError(ValueError):
+    """A failure caused by the user's input: a config, a data file, a checkpoint.
+
+    The CLI prints every one as `error: ...` and exits 1.
+    """
+
+
+class ShapeMismatch(QmlpError):
     """An array's shape is incompatible with the network's weight shapes."""
+
+
+class ConfigInvalid(QmlpError):
+    """A hyperparameter or run-configuration value is unusable."""
 
 
 @dataclass

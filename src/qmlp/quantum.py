@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BatchTrace, NetworkParams, ShapeMismatch, htanh, sign
+from .network import BatchTrace, ConfigInvalid, NetworkParams, ShapeMismatch, htanh, sign
 
 HALF_PI = np.pi / 2
 
@@ -54,9 +54,9 @@ class QuantumConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.a < np.inf:  # written so that NaN fails too
-            raise ValueError(f"stretch a must be finite and >= 0, got {self.a}")
+            raise ConfigInvalid(f"stretch a must be finite and >= 0, got {self.a}")
         if not 0.0 <= self.g <= HALF_PI:
-            raise ValueError(f"entanglement angle g must be in [0, pi/2], got {self.g}")
+            raise ConfigInvalid(f"entanglement angle g must be in [0, pi/2], got {self.g}")
 
     @property
     def is_classical(self) -> bool:

@@ -30,13 +30,14 @@ from .checkpoint import save_checkpoint, write_atomic
 from .config import DataConfig, RunConfig
 from .data import encode_dataset, load_raw_dataset, subset
 from .inference import InferencePolicy, evaluate
+from .network import QmlpError
 from .rng import mix64
 from .training import check_datasets, train, training_error
 
 CSV_HEADER = "a,g,seed,final_val_error,final_train_error,best_val_error,wall_time_s"
 
 
-class ResultCorrupt(ValueError):
+class ResultCorrupt(QmlpError):
     """A run directory's result.json exists but does not parse."""
 
 

@@ -18,8 +18,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import BatchPlan, EncodedDataset
-from .inference import InferencePolicy, evaluate, predict_batch_deterministic
+from .inference import EmptyDataset, InferencePolicy, evaluate, predict_batch_deterministic
 from .network import (
+    ConfigInvalid,
     Gradients,
     NetworkParams,
     ShapeMismatch,
@@ -30,10 +31,6 @@ from .network import (
 )
 from .quantum import QuantumConfig, quantum_forward_batch
 from .rng import FORWARD, INIT, SHUFFLE, mix64, substream
-
-
-class ConfigInvalid(ValueError):
-    """A hyperparameter or run-configuration value is unusable."""
 
 
 @dataclass(frozen=True)
@@ -126,9 +123,11 @@ def training_error(params: NetworkParams, data: EncodedDataset) -> float:
 
 
 def check_datasets(hyper: Hyperparams, train_set: EncodedDataset, val_set: EncodedDataset):
-    """Raise ConfigInvalid or ShapeMismatch if `train` cannot run on these datasets."""
+    """Raise a QmlpError if `train` cannot run on these datasets."""
     if train_set.count == 0 and hyper.epochs > 0:
         raise ConfigInvalid("cannot train on an empty dataset")
+    if val_set.count == 0:
+        raise EmptyDataset("cannot evaluate an empty validation set")
     top = train_set.y.max(initial=-1)
     if top >= hyper.num_classes:
         raise ConfigInvalid(f"training label {top} is not below num_classes={hyper.num_classes}")

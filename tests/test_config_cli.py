@@ -111,6 +111,14 @@ class TestConfig:
             ),
             ("sweep.seeds=[3, 1, 3]", "sweep.seeds is empty or repeats a value"),
             ("sweep.g_values=[]", "sweep.g_values is empty or repeats a value"),
+            ("training.epochs=2.7", "training.epochs: expected an integer, got 2.7"),
+            ("inference.shots=15.9", "inference.shots: expected an integer, got 15.9"),
+            ("training.batch_size=true", "training.batch_size: expected an integer, got True"),
+            ("sweep.seeds=[1.5]", "sweep.seeds: expected an integer, got 1.5"),
+            ("quantum.a=true", "quantum.a: expected a number, got True"),
+            ("sweep.a_values=[true]", "sweep.a_values: expected a number, got True"),
+            ("quantum.g=true", "angle True is not a number"),
+            ("quantum.a=[0.1", "cannot parse --set 'quantum.a=[0.1'"),
         ],
     )
     def test_every_value_is_checked_on_load(self, override, message):
@@ -122,6 +130,11 @@ class TestConfig:
         cfg = config_from_dict(raw)
         assert cfg.hyper.epochs == 3
         assert cfg.hyper.quantum.a == 0.25
+
+    def test_integral_float_loads_as_int(self):
+        cfg = load_config(None, ["training.epochs=3.0", "sweep.seeds=[2.0, 5]"])
+        assert cfg.hyper.epochs == 3 and type(cfg.hyper.epochs) is int
+        assert cfg.seeds == (2, 5) and all(type(s) is int for s in cfg.seeds)
 
     def test_set_parses_yaml_scalars(self):
         raw = apply_overrides({}, ["sweep.seeds=[4, 5]", "quantum.g=pi/8"])
@@ -153,6 +166,8 @@ class TestOptionSurface:
             ["eval", "--checkpoint", "c.qckpt", "--seed", "3"],
             ["fetch-check", "--out", "somewhere"],
             ["fetch-check", "--seed", "3"],
+            ["train", "--seed", "3"],
+            ["sweep", "--seed", "3"],
         ],
     )
     def test_ignored_options_are_rejected(self, argv, capsys):
@@ -176,8 +191,8 @@ class TestOptionSurface:
         assert "--threads: must be >= 1" in capsys.readouterr().err
 
     def test_sweep_takes_threads(self):
-        args = build_parser().parse_args(["sweep", "--threads", "2", "--seed", "4"])
-        assert (args.threads, args.seed) == (2, 4)
+        args = build_parser().parse_args(["sweep", "--threads", "2"])
+        assert args.threads == 2
 
 
 def write_desk_config(tmp_path, idx_dir, **training):
@@ -224,7 +239,7 @@ class TestTrainJob:
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
         out2 = tmp_path / "other"
         rc = main(
-            ["train", "--config", str(cfg_path), "--out", str(out2), "--seed", "99"]
+            ["train", "--config", str(cfg_path), "--out", str(out2), "--set", "training.seed=99"]
         )
         assert rc == 0
         ckpt = out2 / "checkpoint.qckpt"
@@ -335,6 +350,12 @@ class TestTrainJob:
             "training.learning_rate=.inf",
             "training.bp_scale=.nan",
             "quantum.g=pi/0",
+            "training.epochs=2.7",
+            "inference.shots=15.9",
+            "training.batch_size=true",
+            "quantum.a=true",
+            "sweep.seeds=[1.5]",
+            "quantum.a=[0.1",
         ],
     )
     def test_unusable_value_is_refused(self, override, tmp_path, small_idx_dir, capsys):
@@ -344,6 +365,20 @@ class TestTrainJob:
         assert main(argv) == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not fresh.exists()
+
+    def test_empty_validation_file_is_refused(self, tmp_path, small_idx_dir, capsys):
+        empty = RawDataset(np.zeros((0, 28, 28), np.uint8), np.zeros(0, np.int64))
+        write_idx_pair(small_idx_dir, empty, "t10k")
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        fresh, earlier = tmp_path / "fresh", tmp_path / "earlier"
+        earlier.mkdir()
+        (earlier / "metrics.jsonl").write_bytes(b'{"epoch": 0}\n')
+        for out in (fresh, earlier):
+            assert main(["train", "--config", str(cfg_path), "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "empty validation set" in err
+        assert not fresh.exists()
+        assert (earlier / "metrics.jsonl").read_bytes() == b'{"epoch": 0}\n'
 
     def test_image_and_label_counts_differ(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
