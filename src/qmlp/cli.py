@@ -61,7 +61,12 @@ def cmd_eval(args) -> int:
         errors = [float(np.mean(mode_over_shots(preds[:, :k], params.output_size) != val_set.y))
                   for k in range(1, width + 1)]
     if multi:
-        err = errors[policy.shots - 1] if curve else evaluate(params, val_set, policy, quantum)
+        if curve:
+            err = errors[policy.shots - 1]
+        elif policy.deterministic_at(quantum):
+            err = det
+        else:
+            err = evaluate(params, val_set, policy, quantum)
         print(f"multi_shot_error={err} shots={policy.shots} a={quantum.a} g={quantum.g}")
     if curve:
         lines = ["shots,error"] + [f"{k},{e!r}" for k, e in enumerate(errors[:curve], 1)]

@@ -74,6 +74,14 @@ def _integer(value) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """An integer seed in [0, 2^64); the SplitMix64 chain would alias any other."""
+    seed = _integer(value)
+    if not 0 <= seed < 1 << 64:
+        raise ValueError(f"a seed must be in [0, 2^64), got {seed}")
+    return seed
+
+
 def _real(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
@@ -87,7 +95,7 @@ _SCHEMA = {
         "train_labels": str,
         "val_images": str,
         "val_labels": str,
-        "subset_seed": _integer,
+        "subset_seed": _seed,
     },
     "model": {
         "hidden_layers": _integer,
@@ -100,7 +108,7 @@ _SCHEMA = {
         "epochs": _integer,
         "train_size": _integer,
         "val_size": _integer,
-        "seed": _integer,
+        "seed": _seed,
         "bp_scale": _real,
         "num_classes": _integer,
     },
@@ -111,12 +119,12 @@ _SCHEMA = {
     "inference": {
         "mode": str,
         "shots": _integer,
-        "seed": _integer,
+        "seed": _seed,
     },
     "sweep": {
         "a_values": lambda v: tuple(_real(x) for x in v),
         "g_values": lambda v: tuple(parse_angle(x) for x in v),
-        "seeds": lambda v: tuple(_integer(x) for x in v),
+        "seeds": lambda v: tuple(_seed(x) for x in v),
     },
 }
 

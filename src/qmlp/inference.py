@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import EncodedDataset
 from .network import ConfigInvalid, NetworkParams, QmlpError, classical_forward_batch
-from .quantum import QuantumConfig, quantum_forward_batch
+from .quantum import QuantumConfig, first_layer, quantum_forward_batch
 from .rng import EVAL, substream
 
 _EVAL_CHUNK = 512
@@ -46,6 +46,14 @@ class InferencePolicy:
     def multi_shot(cls, shots: int = 15, seed: int = 0) -> "InferencePolicy":
         return cls(mode="multi_shot", shots=shots, seed=seed)
 
+    def deterministic_at(self, quantum: QuantumConfig | None) -> bool:
+        """Whether this policy's prediction at `quantum` is the deterministic pass.
+
+        At the classical point (a=0, g=pi/2) every shot equals that pass bit
+        for bit, so one pass gives the multi-shot error too.
+        """
+        return self.mode == "deterministic" or quantum.is_classical
+
 
 def predict_batch_deterministic(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Argmax of the classical-limit output for rows of X (n, M); ties go to the lowest class."""
@@ -69,7 +77,8 @@ def prediction_matrix(
     uint64 draw of substream(seed, EVAL, i). Shot j is therefore
     reproducible on its own, the first k columns do not depend on `shots`,
     and sorting or batching the samples differently cannot change the
-    matrix.
+    matrix. Layer 1 before its measurement does not depend on the draws, so
+    it is computed once per chunk and shared by the chunk's shots.
     """
     n = data.count
     seeds = np.empty((n, shots), dtype=np.uint64)
@@ -79,9 +88,10 @@ def prediction_matrix(
     for start in range(0, n, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, n)
         D0 = data.X[start:stop].T
+        first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
         for j in range(shots):
             rngs = [np.random.default_rng(int(s)) for s in seeds[start:stop, j]]
-            F = quantum_forward_batch(params, D0, cfg, rngs).F
+            F = quantum_forward_batch(params, D0, cfg, rngs, first=first).F
             preds[start:stop, j] = np.argmax(F, axis=0)
     return preds
 
@@ -107,7 +117,7 @@ def evaluate(
         raise EmptyDataset("cannot evaluate an empty dataset")
     if policy.mode == "multi_shot" and quantum is None:
         raise ValueError("multi_shot evaluation needs a QuantumConfig")
-    if policy.mode == "deterministic" or quantum.is_classical:  # every shot is this pass
+    if policy.deterministic_at(quantum):
         preds = predict_batch_deterministic(params, data.X)
     else:
         matrix = prediction_matrix(params, data, quantum, policy.shots, policy.seed)

@@ -62,6 +62,11 @@ class QuantumConfig:
     def is_classical(self) -> bool:
         return self.a == 0.0 and self.g == HALF_PI
 
+    @property
+    def on_poles(self) -> bool:
+        """Whether measurement leaves every qubit on a pole (g = pi/2 or a = 0)."""
+        return self.g == HALF_PI or self.a == 0.0
+
 
 def phi_a(x, a: float):
     """Stretched activation htanh(x / a); the a -> 0 limit is sign(x)."""
@@ -114,6 +119,13 @@ def weak_update(alpha, beta, sin_g, u):
     return d, out_a, out_b
 
 
+def _check_features(params: NetworkParams, D0: np.ndarray):
+    if D0.shape[0] != params.input_size:
+        raise ShapeMismatch(
+            f"batch has {D0.shape[0]} features, network expects {params.input_size}"
+        )
+
+
 def _check_hidden_widths(params: NetworkParams):
     widths = params.hidden_widths()
     if widths and any(w != widths[0] for w in widths):
@@ -122,11 +134,29 @@ def _check_hidden_widths(params: NetworkParams):
         )
 
 
+def first_layer(params: NetworkParams, D0: np.ndarray, cfg: QuantumConfig):
+    """Layer 1 up to its measurement: (Z1, state), a pure function of D0.
+
+    Z1 = W[0] @ D0. Every qubit starts in |0> (t = 1), so where g = pi/2 or
+    a = 0 the state is <Z> = sin(pi/2 * phi_a(Z1)); otherwise it is the
+    amplitude pair (alpha, beta) of |0> rotated by pi/2 * (1 - phi_a(Z1)).
+    Only the measurement draws differ between stochastic passes over the
+    same D0, so multi-shot evaluation computes this once and passes it as
+    quantum_forward_batch's `first`.
+    """
+    _check_features(params, D0)
+    Z = params.W[0] @ D0
+    if cfg.on_poles:
+        return Z, np.sin(HALF_PI * phi_a(Z, cfg.a))
+    return Z, ry_update(1.0, 0.0, HALF_PI * (1.0 - phi_a(Z, cfg.a)))
+
+
 def quantum_forward_batch(
     params: NetworkParams,
     D0: np.ndarray,
     cfg: QuantumConfig,
     sample_rngs,
+    first=None,
 ) -> BatchTrace:
     """Forward pass with one qubit per hidden neuron, reused across layers.
 
@@ -138,36 +168,41 @@ def quantum_forward_batch(
     and weak_update. Column s draws L * n uniforms from
     sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
     activations do not depend on the batch it is in.
+
+    `first` is first_layer(params, D0, cfg), computed here when None. A
+    caller that runs several passes over the same D0 and cfg may compute it
+    once and pass it to each; it is only read, and it is ignored by a net
+    with no hidden layer.
     """
-    if D0.shape[0] != params.input_size:
-        raise ShapeMismatch(
-            f"batch has {D0.shape[0]} features, network expects {params.input_size}"
-        )
+    _check_features(params, D0)
     _check_hidden_widths(params)
     L = params.num_hidden_layers
     B = D0.shape[1]
     if len(sample_rngs) != B:
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
-    pole = cfg.g == HALF_PI or cfg.a == 0.0
+    pole = cfg.on_poles
     sin_g = np.sin(cfg.g)
-    alpha, beta, prev = 1.0, 0.0, 1.0  # |0>, and its outcome; broadcast by layer 1
+    prev = 1.0  # t = 1 after a projective measurement; the other paths set prev per layer
     Z_list, D_list = [], [D0]
     if L:
         n = params.W[0].shape[0]
         U = np.empty((L, n, B))
         for s, rng in enumerate(sample_rngs):
             U[:, :, s] = rng.random((L, n))
+        Z, state = first_layer(params, D0, cfg) if first is None else first
     for k in range(1, L + 1):
-        Z = params.W[k - 1] @ D_list[k - 1]
-        if pole:  # prev is t = pole * last outcome
-            z_mean = prev * np.sin(HALF_PI * phi_a(Z, cfg.a))
-            D = np.where(U[k - 1] < 0.5 * (1.0 + z_mean * sin_g), 1.0, -1.0)
+        if k > 1:  # rotate by the angle the previous outcomes give
+            Z = params.W[k - 1] @ D_list[k - 1]
+            if pole:  # prev is t = pole * last outcome
+                state = prev * np.sin(HALF_PI * phi_a(Z, cfg.a))
+            else:
+                state = ry_update(*state, HALF_PI * (prev - phi_a(Z, cfg.a)))
+        if pole:  # state is <Z>
+            D = np.where(U[k - 1] < 0.5 * (1.0 + state * sin_g), 1.0, -1.0)
             if cfg.a == 0.0:  # the pole did not move; at g = pi/2 this keeps t = 1
-                prev = z_mean * D
-        else:
-            theta = HALF_PI * (prev - phi_a(Z, cfg.a))
-            alpha, beta = ry_update(alpha, beta, theta)
-            D, alpha, beta = weak_update(alpha, beta, sin_g, U[k - 1])
+                prev = state * D
+        else:  # state is (alpha, beta)
+            D, *state = weak_update(*state, sin_g, U[k - 1])
             prev = D
         Z_list.append(Z)
         D_list.append(D)

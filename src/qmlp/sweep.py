@@ -92,12 +92,15 @@ def run_training_job(cfg: RunConfig, out_dir) -> dict:
         meta={"a": cfg.hyper.quantum.a, "g": cfg.hyper.quantum.g, "seed": cfg.hyper.seed},
     )
 
-    final_val = evaluate(metrics.params, val_set, cfg.policy, quantum=cfg.hyper.quantum)
     if metrics.records:  # the last epoch measured these weights deterministically
         train_err, det_val = metrics.records[-1].train_error, metrics.records[-1].val_error
     else:
         train_err = training_error(metrics.params, train_set)
         det_val = evaluate(metrics.params, val_set, InferencePolicy.deterministic())
+    if cfg.policy.deterministic_at(cfg.hyper.quantum):
+        final_val = det_val
+    else:
+        final_val = evaluate(metrics.params, val_set, cfg.policy, quantum=cfg.hyper.quantum)
     val_errors = [r.val_error for r in metrics.records]
     result = {
         "a": cfg.hyper.quantum.a,

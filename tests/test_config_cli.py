@@ -119,6 +119,17 @@ class TestConfig:
             ("sweep.a_values=[true]", "sweep.a_values: expected a number, got True"),
             ("quantum.g=true", "angle True is not a number"),
             ("quantum.a=[0.1", "cannot parse --set 'quantum.a=[0.1'"),
+            (
+                "training.seed=18446744073709551616",
+                "training.seed: a seed must be in [0, 2^64), got 18446744073709551616",
+            ),
+            ("training.seed=-1", "training.seed: a seed must be in [0, 2^64), got -1"),
+            ("inference.seed=-1", "inference.seed: a seed must be in [0, 2^64), got -1"),
+            ("data.subset_seed=-1", "data.subset_seed: a seed must be in [0, 2^64), got -1"),
+            (
+                "sweep.seeds=[0, 18446744073709551616]",
+                "sweep.seeds: a seed must be in [0, 2^64), got 18446744073709551616",
+            ),
         ],
     )
     def test_every_value_is_checked_on_load(self, override, message):
@@ -130,6 +141,11 @@ class TestConfig:
         cfg = config_from_dict(raw)
         assert cfg.hyper.epochs == 3
         assert cfg.hyper.quantum.a == 0.25
+
+    def test_seed_range_ends_are_accepted(self):
+        top = (1 << 64) - 1
+        cfg = load_config(None, [f"training.seed={top}", f"sweep.seeds=[0, {top}]"])
+        assert cfg.hyper.seed == top and cfg.seeds == (0, top)
 
     def test_integral_float_loads_as_int(self):
         cfg = load_config(None, ["training.epochs=3.0", "sweep.seeds=[2.0, 5]"])
@@ -221,6 +237,19 @@ def write_desk_config(tmp_path, idx_dir, **training):
     return path
 
 
+def count_deterministic_passes(monkeypatch) -> list:
+    """Record every predict_batch_deterministic call, wherever it is made from."""
+    passes, original = [], qmlp.inference.predict_batch_deterministic
+
+    def counted(*args):
+        passes.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(qmlp.inference, "predict_batch_deterministic", counted)
+    monkeypatch.setattr(qmlp.training, "predict_batch_deterministic", counted)
+    return passes
+
+
 class TestTrainJob:
     def test_smoke_train_writes_artifacts(self, tmp_path, small_idx_dir):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
@@ -271,20 +300,31 @@ class TestTrainJob:
         epochs = 3
         cfg = load_config(write_desk_config(tmp_path, small_idx_dir, epochs=epochs))
         cfg = cfg.with_quantum(0.5, HALF_PI, seed=3)
-        passes, original = [], qmlp.inference.predict_batch_deterministic
-
-        def counted(*args):
-            passes.append(args)
-            return original(*args)
-
-        monkeypatch.setattr(qmlp.inference, "predict_batch_deterministic", counted)
-        monkeypatch.setattr(qmlp.training, "predict_batch_deterministic", counted)
+        passes = count_deterministic_passes(monkeypatch)
         run_training_job(cfg, tmp_path / "job")
         assert len(passes) == 2 * epochs
         last = json.loads((tmp_path / "job" / "metrics.jsonl").read_text().splitlines()[-1])
         result = json.loads((tmp_path / "job" / "result.json").read_text())
         assert result["final_train_error"] == last["train_error"]
         assert result["final_val_error_deterministic"] == last["val_error"]
+
+    @pytest.mark.parametrize("a, mode", [(0.0, "multi_shot"), (0.5, "deterministic")])
+    def test_one_pass_policy_reuses_last_val_error(
+        self, a, mode, tmp_path, small_idx_dir, monkeypatch
+    ):
+        # at the classical point every shot is the deterministic pass
+        epochs = 3
+        cfg = load_config(
+            write_desk_config(tmp_path, small_idx_dir, epochs=epochs), [f"inference.mode={mode}"]
+        )
+        cfg = cfg.with_quantum(a, HALF_PI, seed=3)
+        passes = count_deterministic_passes(monkeypatch)
+        run_training_job(cfg, tmp_path / "job")
+        assert len(passes) == 2 * epochs
+        last = json.loads((tmp_path / "job" / "metrics.jsonl").read_text().splitlines()[-1])
+        result = json.loads((tmp_path / "job" / "result.json").read_text())
+        assert result["final_val_error"] == result["final_val_error_deterministic"]
+        assert result["final_val_error"] == last["val_error"]
 
     def test_torn_result_is_a_named_error(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
@@ -356,6 +396,9 @@ class TestTrainJob:
             "quantum.a=true",
             "sweep.seeds=[1.5]",
             "quantum.a=[0.1",
+            "training.seed=18446744073709551616",
+            "training.seed=-1",
+            "sweep.seeds=[0, 18446744073709551616]",
         ],
     )
     def test_unusable_value_is_refused(self, override, tmp_path, small_idx_dir, capsys):
@@ -600,6 +643,20 @@ class TestEval:
         assert len(calls) == 1
         assert f"multi_shot_error={err} shots=3 " in capsys.readouterr().out
         assert (tmp_path / "eval_out" / "shots_curve.csv").read_bytes() == expected_csv.encode()
+
+    def test_classical_point_runs_one_deterministic_pass(
+        self, tmp_path, small_idx_dir, capsys, monkeypatch
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.qckpt"
+        passes = count_deterministic_passes(monkeypatch)
+        capsys.readouterr()
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 0
+        assert len(passes) == 1
+        out = capsys.readouterr().out
+        det = re.search(r"deterministic_error=(\S+)", out).group(1)
+        assert f"multi_shot_error={det} shots=3 a=0.0 g={HALF_PI}" in out
 
     def test_empty_validation_set_errors(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

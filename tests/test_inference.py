@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qmlp.inference
+import qmlp.quantum
 from qmlp.data import EncodedDataset, encode_dataset
 from qmlp.inference import (
     EmptyDataset,
@@ -12,10 +13,39 @@ from qmlp.inference import (
     prediction_matrix,
 )
 from qmlp.network import NetworkParams, init_network_params
-from qmlp.quantum import HALF_PI, QuantumConfig
+from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
+from qmlp.rng import EVAL, substream
 
 from oracles import classical_forward, shot_predictions
 from synthdigits import make_raw_dataset
+
+
+# The paper's sweep points and the classical point; at g = 1.57079632 < pi/2,
+# sin g rounds to 1.0, so one weak outcome has probability 0.
+POINTS = [
+    (0.4641588834, 9 * np.pi / 19),
+    (0.0, 5 * np.pi / 19),
+    (0.316227766, HALF_PI),
+    (0.0, HALF_PI),
+    (0.5, 1.57079632),
+]
+
+
+def per_shot_passes(params, data, cfg, shots, seed):
+    """prediction_matrix as one self-contained forward pass per (chunk, shot)."""
+    seeds = [
+        substream(seed, EVAL, i).integers(0, 1 << 64, size=shots, dtype=np.uint64)
+        for i in range(data.count)
+    ]
+    preds = np.empty((data.count, shots), dtype=np.int64)
+    chunk = qmlp.inference._EVAL_CHUNK
+    for start in range(0, data.count, chunk):
+        D0 = data.X[start : start + chunk].T
+        for j in range(shots):
+            rngs = [np.random.default_rng(int(s[j])) for s in seeds[start : start + chunk]]
+            F = quantum_forward_batch(params, D0, cfg, rngs, first=None).F
+            preds[start : start + chunk, j] = np.argmax(F, axis=0)
+    return preds
 
 
 def const_net(logits):
@@ -187,6 +217,43 @@ class TestPredictionMatrix:
             ref = shot_predictions(params, data.X[i], cfg, shots, seed, index=i)
             assert matrix[i].tolist() == ref
             assert modal[i] == np.argmax(np.bincount(ref, minlength=10))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("layers", [3, 0])  # with 0, W[0] is the output layer
+    @pytest.mark.parametrize("a, g", POINTS)
+    def test_equals_self_contained_passes(self, a, g, layers, monkeypatch):
+        monkeypatch.setattr(qmlp.inference, "_EVAL_CHUNK", 16)  # 3 chunks, one partial
+        params = init_network_params(784, 8, layers, 10, np.random.default_rng(20))
+        data = encode_dataset(make_raw_dataset(40, seed=302))
+        cfg = QuantumConfig(a=a, g=g)
+        got = prediction_matrix(params, data, cfg, 5, seed=21)
+        assert np.array_equal(got, per_shot_passes(params, data, cfg, 5, seed=21))
+
+    def test_first_layer_once_per_chunk(self, monkeypatch):
+        monkeypatch.setattr(qmlp.inference, "_EVAL_CHUNK", 4)
+        params = init_network_params(784, 8, 2, 10, np.random.default_rng(22))
+        data = encode_dataset(make_raw_dataset(8, seed=303))
+        cfg = QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)
+        expected = prediction_matrix(params, data, cfg, 3, seed=23)
+        calls = {"first_layer": 0, "quantum_forward_batch": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        first = counted("first_layer", qmlp.quantum.first_layer)
+        monkeypatch.setattr(qmlp.quantum, "first_layer", first)
+        monkeypatch.setattr(qmlp.inference, "first_layer", first)
+        monkeypatch.setattr(
+            qmlp.inference,
+            "quantum_forward_batch",
+            counted("quantum_forward_batch", qmlp.inference.quantum_forward_batch),
+        )
+        assert np.array_equal(prediction_matrix(params, data, cfg, 3, seed=23), expected)
+        assert calls == {"first_layer": 2, "quantum_forward_batch": 6}  # 2 chunks x 3 shots
 
     def test_prefix_consistency(self):
         # the first k columns are the same run regardless of requested shots

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 import qmlp.quantum
-from qmlp.network import classical_forward_batch, init_network_params, sign
+from qmlp.network import ShapeMismatch, classical_forward_batch, init_network_params, sign
 from qmlp.quantum import (
     HALF_PI,
     QuantumConfig,
+    first_layer,
     phi_a,
     projective_update,
     quantum_forward_batch,
@@ -473,6 +474,56 @@ class TestQuantumForward:
             for dq, dc in zip(q.D, c.D):
                 assert np.array_equal(dq, dc)
             assert np.array_equal(q.F, c.F)
+
+    @pytest.mark.parametrize(
+        "a, g",
+        [
+            (0.4641588834, 9 * np.pi / 19),
+            (0.0, 5 * np.pi / 19),
+            (0.316227766, HALF_PI),
+            (0.0, HALF_PI),
+            (0.5, 1.57079632),
+        ],
+    )
+    def test_precomputed_first_layer_gives_the_same_pass(self, a, g, monkeypatch):
+        rng = np.random.default_rng(29)
+        params = init_network_params(6, 5, 3, 3, rng)
+        X = rng.uniform(0, 1, size=(6, 16))
+        cfg = QuantumConfig(a=a, g=g)
+
+        def streams():
+            return [substream(5, FORWARD, s) for s in range(16)]
+
+        first = first_layer(params, X, cfg)
+        inline = quantum_forward_batch(params, X, cfg, streams())
+
+        def refuse(*args):
+            raise AssertionError("first_layer recomputed")
+
+        monkeypatch.setattr(qmlp.quantum, "first_layer", refuse)
+        shared = quantum_forward_batch(params, X, cfg, streams(), first=first)
+        assert shared.Z[0] is first[0]
+        for a_list, b_list in ((inline.Z, shared.Z), (inline.D, shared.D)):
+            for x, y in zip(a_list, b_list):
+                assert np.array_equal(x, y)
+        assert np.array_equal(inline.F, shared.F)
+
+    def test_first_layer_state(self):
+        rng = np.random.default_rng(30)
+        params = init_network_params(6, 5, 2, 3, rng)
+        X = rng.uniform(-1, 1, size=(6, 8))
+        Z = params.W[0] @ X
+        for cfg in (QuantumConfig(a=0.3), QuantumConfig(a=0.0, g=1.0)):  # the pole branch
+            got_z, z_mean = first_layer(params, X, cfg)
+            assert np.array_equal(got_z, Z)
+            assert np.array_equal(z_mean, np.sin(HALF_PI * phi_a(Z, cfg.a)))
+        got_z, (alpha, beta) = first_layer(params, X, QuantumConfig(a=0.3, g=1.0))
+        theta = HALF_PI * (1.0 - phi_a(Z, 0.3))
+        assert np.array_equal(got_z, Z)
+        assert np.allclose(alpha, np.cos(theta / 2), rtol=0, atol=1e-15)
+        assert np.allclose(beta, np.sin(theta / 2), rtol=0, atol=1e-15)
+        with pytest.raises(ShapeMismatch):
+            first_layer(params, X[:5], QuantumConfig(a=0.3))
 
     def test_norms_stay_unit_through_circuit(self):
         # instrument by re-running the layer updates manually
