@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import struct
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -14,7 +13,7 @@ from . import data as data_mod
 from .checkpoint import load_checkpoint, write_atomic
 from .config import RunConfig, load_config
 from .inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
-from .network import QmlpError
+from .network import QmlpError, ShapeMismatch
 from .sweep import load_datasets, run_sweep, run_training_job
 
 
@@ -50,23 +49,24 @@ def cmd_sweep(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set or ())
     params, _opt, _epoch, _meta = load_checkpoint(args.checkpoint)
+    if params.output_size != data_mod.NUM_CLASSES:
+        raise ShapeMismatch(f"{args.checkpoint}: output layer is {params.output_size} wide, "
+                            f"not {data_mod.NUM_CLASSES}")
     _train_set, val_set = load_datasets(cfg)
     quantum, policy, curve = cfg.hyper.quantum, cfg.policy, args.shots_curve
     multi = policy.mode == "multi_shot"
     det = evaluate(params, val_set, InferencePolicy.deterministic())
     print(f"deterministic_error={det}")
-    if curve:  # a matrix's first k columns do not depend on its width: one serves both
-        width = max(policy.shots, curve) if multi else curve
+    # errors[k - 1] is the k-shot vote's error; one matrix of width max(shots, curve) gives all
+    width = max(policy.shots if multi else 0, curve or 0)
+    if quantum.is_classical or not width:  # every shot is the deterministic pass
+        errors = [det] * width
+    else:
         preds = prediction_matrix(params, val_set, quantum, width, policy.seed)
         errors = [float(np.mean(mode_over_shots(preds[:, :k], params.output_size) != val_set.y))
                   for k in range(1, width + 1)]
     if multi:
-        if curve:
-            err = errors[policy.shots - 1]
-        elif policy.deterministic_at(quantum):
-            err = det
-        else:
-            err = evaluate(params, val_set, policy, quantum)
+        err = errors[policy.shots - 1]
         print(f"multi_shot_error={err} shots={policy.shots} a={quantum.a} g={quantum.g}")
     if curve:
         lines = ["shots,error"] + [f"{k},{e!r}" for k, e in enumerate(errors[:curve], 1)]
@@ -79,29 +79,18 @@ def cmd_eval(args) -> int:
 
 
 def _check_idx_file(path: str) -> str:
-    with open(path, "rb") as fh:
-        head = fh.read(4)
-    if len(head) < 4:
-        raise data_mod.TruncatedFile(f"{path}: too short for a magic word")
-    (magic,) = struct.unpack(">I", head)
-    if magic == data_mod.IMAGE_MAGIC:
-        n, rows, cols = data_mod.read_idx(path, data_mod.parse_idx_images).shape
+    array = data_mod.read_idx(path, data_mod.parse_idx)
+    if array.ndim == 3:
+        n, rows, cols = array.shape
         return f"{path}: images n={n} {rows}x{cols} OK"
-    if magic == data_mod.LABEL_MAGIC:
-        return f"{path}: labels n={len(data_mod.read_idx(path, data_mod.parse_idx_labels))} OK"
-    raise data_mod.MagicMismatch(f"{path}: unknown magic {magic:#010x}")
+    return f"{path}: labels n={len(array)} OK"
 
 
 def cmd_fetch_check(args) -> int:
     paths = list(args.paths)
     if not paths and args.config:
-        cfg = load_config(args.config, args.set or ())
-        paths = [
-            cfg.data.train_images,
-            cfg.data.train_labels,
-            cfg.data.val_images,
-            cfg.data.val_labels,
-        ]
+        data = load_config(args.config, args.set or ()).data
+        paths = [data.train_images, data.train_labels, data.val_images, data.val_labels]
     if not paths:
         print("error: no files given (pass paths or --config)", file=sys.stderr)
         return 1

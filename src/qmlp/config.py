@@ -82,6 +82,13 @@ def _seed(value) -> int:
     return seed
 
 
+def _path(value) -> str:
+    """A non-empty string; YAML's null, numbers and lists are no file names."""
+    if not isinstance(value, str) or not value:
+        raise ValueError(f"expected a non-empty path, got {value!r}")
+    return value
+
+
 def _real(value) -> float:
     if isinstance(value, bool):
         raise ValueError(f"expected a number, got {value!r}")
@@ -91,10 +98,10 @@ def _real(value) -> float:
 # YAML schema: section -> {key: converter}
 _SCHEMA = {
     "data": {
-        "train_images": str,
-        "train_labels": str,
-        "val_images": str,
-        "val_labels": str,
+        "train_images": _path,
+        "train_labels": _path,
+        "val_images": _path,
+        "val_labels": _path,
         "subset_seed": _seed,
     },
     "model": {
@@ -110,7 +117,6 @@ _SCHEMA = {
         "val_size": _integer,
         "seed": _seed,
         "bp_scale": _real,
-        "num_classes": _integer,
     },
     "quantum": {
         "a": _real,
@@ -129,6 +135,13 @@ _SCHEMA = {
 }
 
 
+def _convert(name: str, convert, value):
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigInvalid(f"bad value for {name}: {exc}") from exc
+
+
 def _converted_section(raw: dict, section: str) -> dict:
     spec = _SCHEMA[section]
     sub = raw.get(section) or {}
@@ -138,10 +151,7 @@ def _converted_section(raw: dict, section: str) -> dict:
     for key, value in sub.items():
         if key not in spec:
             raise ConfigInvalid(f"unknown config key {section}.{key}")
-        try:
-            out[key] = spec[key](value)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigInvalid(f"bad value for {section}.{key}: {exc}") from exc
+        out[key] = _convert(f"{section}.{key}", spec[key], value)
     return out
 
 
@@ -175,7 +185,7 @@ def config_from_dict(raw: dict) -> RunConfig:
         a_values=a_values,
         g_values=g_values,
         seeds=sweep.get("seeds", (hyper.seed,)),
-        out_dir=str(raw.get("out_dir", "runs/run")),
+        out_dir=_convert("out_dir", _path, raw.get("out_dir", "runs/run")),
     )
 
 

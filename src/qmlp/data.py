@@ -11,6 +11,7 @@ layer, but it must be held fixed for sweep results to be comparable.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -21,6 +22,7 @@ from .rng import SHUFFLE, SUBSET, substream
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
+NUM_CLASSES = 10  # digit labels 0..9, and the width of every network's output layer
 
 
 class MagicMismatch(QmlpError):
@@ -32,7 +34,7 @@ class TruncatedFile(QmlpError):
 
 
 class LabelOutOfRange(QmlpError):
-    """A label byte is outside 0..9."""
+    """A label is outside 0..NUM_CLASSES-1."""
 
 
 class SubsetTooLarge(QmlpError):
@@ -71,44 +73,56 @@ class EncodedDataset:
         return len(self.y)
 
 
-def _check_size(data: bytes, expected: int, kind: str):
+def check_labels(labels: np.ndarray, what: str):
+    """Raise LabelOutOfRange unless every entry of `labels` is a class in 0..NUM_CLASSES-1."""
+    bad = np.nonzero((labels < 0) | (labels >= NUM_CLASSES))[0]
+    if bad.size:
+        i = bad[0]
+        raise LabelOutOfRange(f"{what} {labels[i]} at index {i} is outside 0..{NUM_CLASSES - 1}")
+
+
+def _magic(data: bytes) -> int:
+    if len(data) < 4:
+        raise TruncatedFile(f"file has {len(data)} bytes, smaller than the magic word")
+    return struct.unpack(">I", data[:4])[0]
+
+
+def _idx_payload(data: bytes, magic: int, kind: str, ndims: int) -> np.ndarray:
+    """Check an IDX file's magic word and declared size; return its payload, shaped."""
+    got = _magic(data)
+    if got != magic:
+        raise MagicMismatch(f"expected {kind} magic {magic:#010x}, got {got:#010x}")
+    head = 4 + 4 * ndims
+    if len(data) < head:
+        raise TruncatedFile(f"{kind} header needs {head} bytes, file has {len(data)}")
+    dims = struct.unpack(f">{ndims}I", data[4:head])
+    expected = head + math.prod(dims)
     if len(data) < expected:
         raise TruncatedFile(f"header declares {expected} bytes, file has {len(data)}")
     if len(data) > expected:
         raise TruncatedFile(f"{len(data) - expected} trailing bytes after {kind} payload")
+    return np.frombuffer(data, dtype=np.uint8, offset=head).reshape(dims)
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
     """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    if len(data) < 4:
-        raise TruncatedFile(f"file has {len(data)} bytes, smaller than the magic word")
-    (magic,) = struct.unpack(">I", data[:4])
-    if magic != IMAGE_MAGIC:
-        raise MagicMismatch(f"expected image magic {IMAGE_MAGIC:#010x}, got {magic:#010x}")
-    if len(data) < 16:
-        raise TruncatedFile(f"image header needs 16 bytes, file has {len(data)}")
-    n, rows, cols = struct.unpack(">III", data[4:16])
-    _check_size(data, 16 + n * rows * cols, "image")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=n * rows * cols, offset=16)
-    return pixels.reshape(n, rows, cols).copy()
+    return _idx_payload(data, IMAGE_MAGIC, "image", 3).copy()
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:
-    """Parse an IDX label file into a (n,) int64 array with entries in 0..9."""
-    if len(data) < 4:
-        raise TruncatedFile(f"file has {len(data)} bytes, smaller than the magic word")
-    (magic,) = struct.unpack(">I", data[:4])
-    if magic != LABEL_MAGIC:
-        raise MagicMismatch(f"expected label magic {LABEL_MAGIC:#010x}, got {magic:#010x}")
-    if len(data) < 8:
-        raise TruncatedFile(f"label header needs 8 bytes, file has {len(data)}")
-    (n,) = struct.unpack(">I", data[4:8])
-    _check_size(data, 8 + n, "label")
-    labels = np.frombuffer(data, dtype=np.uint8, count=n, offset=8)
-    bad = np.nonzero(labels > 9)[0]
-    if bad.size:
-        raise LabelOutOfRange(f"label {labels[bad[0]]} at index {bad[0]} is outside 0..9")
+    """Parse an IDX label file into a (n,) int64 array with entries in 0..NUM_CLASSES-1."""
+    labels = _idx_payload(data, LABEL_MAGIC, "label", 1)
+    check_labels(labels, "label")
     return labels.astype(np.int64)
+
+
+def parse_idx(data: bytes) -> np.ndarray:
+    """Parse an IDX image or label file, whichever its magic word names."""
+    magic = _magic(data)
+    parse = {IMAGE_MAGIC: parse_idx_images, LABEL_MAGIC: parse_idx_labels}.get(magic)
+    if parse is None:
+        raise MagicMismatch(f"unknown magic {magic:#010x}")
+    return parse(data)
 
 
 def read_idx(path, parse):

@@ -95,12 +95,15 @@ class BatchTrace:
     F: np.ndarray
 
 
+def check_features(params: NetworkParams, D0: np.ndarray):
+    """Raise ShapeMismatch unless the (M, B) batch D0 has the network's M input features."""
+    if D0.shape[0] != params.input_size:
+        raise ShapeMismatch(f"batch has {len(D0)} features, network expects {params.input_size}")
+
+
 def classical_forward_batch(params: NetworkParams, D0: np.ndarray) -> BatchTrace:
     """Deterministic binarized forward pass: D[k] = sign(W[k-1] D[k-1])."""
-    if D0.shape[0] != params.input_size:
-        raise ShapeMismatch(
-            f"batch has {D0.shape[0]} features, network expects {params.input_size}"
-        )
+    check_features(params, D0)
     Z_list, D_list = [], [D0]
     for k in range(params.num_hidden_layers):
         Z = params.W[k] @ D_list[k]

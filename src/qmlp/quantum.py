@@ -40,7 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .network import BatchTrace, ConfigInvalid, NetworkParams, ShapeMismatch, htanh, sign
+from .network import (
+    BatchTrace, ConfigInvalid, NetworkParams, ShapeMismatch, check_features, htanh, sign
+)
 
 HALF_PI = np.pi / 2
 
@@ -119,13 +121,6 @@ def weak_update(alpha, beta, sin_g, u):
     return d, out_a, out_b
 
 
-def _check_features(params: NetworkParams, D0: np.ndarray):
-    if D0.shape[0] != params.input_size:
-        raise ShapeMismatch(
-            f"batch has {D0.shape[0]} features, network expects {params.input_size}"
-        )
-
-
 def _check_hidden_widths(params: NetworkParams):
     widths = params.hidden_widths()
     if widths and any(w != widths[0] for w in widths):
@@ -134,21 +129,26 @@ def _check_hidden_widths(params: NetworkParams):
         )
 
 
+def _rotate(Z, cfg: QuantumConfig, prev, state):
+    """Layer state before measurement: <Z> = prev * sin(pi/2 * phi_a(Z)) on the poles
+    (prev is t), else the amplitudes `state` rotated by pi/2 * (prev - phi_a(Z)) (prev
+    is the last outcome). Qubits fresh in |0> have prev = 1 and state = (1, 0)."""
+    if cfg.on_poles:
+        return prev * np.sin(HALF_PI * phi_a(Z, cfg.a))
+    return ry_update(*state, HALF_PI * (prev - phi_a(Z, cfg.a)))
+
+
 def first_layer(params: NetworkParams, D0: np.ndarray, cfg: QuantumConfig):
     """Layer 1 up to its measurement: (Z1, state), a pure function of D0.
 
-    Z1 = W[0] @ D0. Every qubit starts in |0> (t = 1), so where g = pi/2 or
-    a = 0 the state is <Z> = sin(pi/2 * phi_a(Z1)); otherwise it is the
-    amplitude pair (alpha, beta) of |0> rotated by pi/2 * (1 - phi_a(Z1)).
+    Z1 = W[0] @ D0, and state is _rotate's for qubits that start in |0>.
     Only the measurement draws differ between stochastic passes over the
     same D0, so multi-shot evaluation computes this once and passes it as
     quantum_forward_batch's `first`.
     """
-    _check_features(params, D0)
+    check_features(params, D0)
     Z = params.W[0] @ D0
-    if cfg.on_poles:
-        return Z, np.sin(HALF_PI * phi_a(Z, cfg.a))
-    return Z, ry_update(1.0, 0.0, HALF_PI * (1.0 - phi_a(Z, cfg.a)))
+    return Z, _rotate(Z, cfg, 1.0, (1.0, 0.0))
 
 
 def quantum_forward_batch(
@@ -174,13 +174,12 @@ def quantum_forward_batch(
     once and pass it to each; it is only read, and it is ignored by a net
     with no hidden layer.
     """
-    _check_features(params, D0)
+    check_features(params, D0)
     _check_hidden_widths(params)
     L = params.num_hidden_layers
     B = D0.shape[1]
     if len(sample_rngs) != B:
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
-    pole = cfg.on_poles
     sin_g = np.sin(cfg.g)
     prev = 1.0  # t = 1 after a projective measurement; the other paths set prev per layer
     Z_list, D_list = [], [D0]
@@ -193,11 +192,8 @@ def quantum_forward_batch(
     for k in range(1, L + 1):
         if k > 1:  # rotate by the angle the previous outcomes give
             Z = params.W[k - 1] @ D_list[k - 1]
-            if pole:  # prev is t = pole * last outcome
-                state = prev * np.sin(HALF_PI * phi_a(Z, cfg.a))
-            else:
-                state = ry_update(*state, HALF_PI * (prev - phi_a(Z, cfg.a)))
-        if pole:  # state is <Z>
+            state = _rotate(Z, cfg, prev, state)
+        if cfg.on_poles:  # state is <Z>
             D = np.where(U[k - 1] < 0.5 * (1.0 + state * sin_g), 1.0, -1.0)
             if cfg.a == 0.0:  # the pole did not move; at g = pi/2 this keeps t = 1
                 prev = state * D

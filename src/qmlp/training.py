@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import BatchPlan, EncodedDataset
+from .data import NUM_CLASSES, BatchPlan, EncodedDataset, check_labels
 from .inference import EmptyDataset, InferencePolicy, evaluate, predict_batch_deterministic
 from .network import (
     ConfigInvalid,
@@ -48,7 +48,6 @@ class Hyperparams:
     quantum: QuantumConfig = field(default_factory=lambda: QuantumConfig(a=0.0))
     seed: int = 1
     bp_scale: float = 1.0
-    num_classes: int = 10
 
     def __post_init__(self):
         if self.hidden_layers < 0:
@@ -69,8 +68,6 @@ class Hyperparams:
             raise ConfigInvalid(f"val_size must be >= 1, got {self.val_size}")
         if not 0.0 < self.bp_scale < np.inf:
             raise ConfigInvalid(f"bp_scale must be finite and > 0, got {self.bp_scale}")
-        if self.num_classes < 2:
-            raise ConfigInvalid(f"num_classes must be >= 2, got {self.num_classes}")
 
 
 @dataclass
@@ -128,9 +125,8 @@ def check_datasets(hyper: Hyperparams, train_set: EncodedDataset, val_set: Encod
         raise ConfigInvalid("cannot train on an empty dataset")
     if val_set.count == 0:
         raise EmptyDataset("cannot evaluate an empty validation set")
-    top = train_set.y.max(initial=-1)
-    if top >= hyper.num_classes:
-        raise ConfigInvalid(f"training label {top} is not below num_classes={hyper.num_classes}")
+    check_labels(train_set.y, "training label")
+    check_labels(val_set.y, "validation label")
     if train_set.count and train_set.X.shape[1] != val_set.X.shape[1]:
         raise ShapeMismatch(
             f"train and validation inputs disagree: "
@@ -155,7 +151,7 @@ def train(
         input_size=train_set.X.shape[1],
         hidden_size=hyper.hidden_size,
         hidden_layers=hyper.hidden_layers,
-        output_size=hyper.num_classes,
+        output_size=NUM_CLASSES,
         rng=substream(hyper.seed, INIT),
     )
     opt = OptimizerState.zeros_like(params)

@@ -130,6 +130,14 @@ class TestConfig:
                 "sweep.seeds=[0, 18446744073709551616]",
                 "sweep.seeds: a seed must be in [0, 2^64), got 18446744073709551616",
             ),
+            ("out_dir=", "out_dir: expected a non-empty path, got None"),
+            ("out_dir=''", "out_dir: expected a non-empty path, got ''"),
+            ("out_dir=[1, 2]", "out_dir: expected a non-empty path, got [1, 2]"),
+            ("out_dir=7", "out_dir: expected a non-empty path, got 7"),
+            ("data.train_images=", "data.train_images: expected a non-empty path, got None"),
+            ("data.train_labels=[a]", "data.train_labels: expected a non-empty path, got ['a']"),
+            ("data.val_images=''", "data.val_images: expected a non-empty path, got ''"),
+            ("data.val_labels=3", "data.val_labels: expected a non-empty path, got 3"),
         ],
     )
     def test_every_value_is_checked_on_load(self, override, message):
@@ -351,17 +359,14 @@ class TestTrainJob:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
-    def test_num_classes_below_a_label(self, tmp_path, small_idx_dir, capsys):
-        cfg_path = write_desk_config(tmp_path, small_idx_dir)
-        rc = main(["train", "--config", str(cfg_path), "--set", "training.num_classes=5"])
-        assert rc == 1
-        assert "num_classes=5" in capsys.readouterr().err
-
     @pytest.mark.parametrize(
         "override, message",
         [
-            ("training.num_classes=5", "not below num_classes=5"),
+            ("training.num_classes=5", "unknown config key training.num_classes"),
             ("training.train_size=161", "requested 161 of 160 samples"),
+            ("out_dir=", "bad value for out_dir: expected a non-empty path, got None"),
+            ("out_dir=[1, 2]", "bad value for out_dir: expected a non-empty path, got [1, 2]"),
+            ("data.val_labels=", "bad value for data.val_labels"),
             ("training.train_size=-5", "train_size must be >= 0, got -5"),
             ("training.val_size=0", "val_size must be >= 1, got 0"),
         ],
@@ -658,6 +663,29 @@ class TestEval:
         det = re.search(r"deterministic_error=(\S+)", out).group(1)
         assert f"multi_shot_error={det} shots=3 a=0.0 g={HALF_PI}" in out
 
+    def test_classical_shots_curve_is_the_deterministic_error(
+        self, tmp_path, small_idx_dir, capsys, monkeypatch
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.qckpt"
+        passes = count_deterministic_passes(monkeypatch)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stochastic pass at the classical point")
+
+        monkeypatch.setattr(qmlp.cli, "prediction_matrix", refuse)
+        monkeypatch.setattr(qmlp.inference, "prediction_matrix", refuse)
+        monkeypatch.setattr(qmlp.inference, "quantum_forward_batch", refuse)
+        capsys.readouterr()
+        argv = ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                "--shots-curve", "5", "--out", str(tmp_path / "eval_out")]
+        assert main(argv) == 0
+        assert len(passes) == 1
+        det = re.search(r"deterministic_error=(\S+)", capsys.readouterr().out).group(1)
+        curve = (tmp_path / "eval_out" / "shots_curve.csv").read_text()
+        assert curve == "shots,error\n" + "".join(f"{k},{det}\n" for k in range(1, 6))
+
     def test_empty_validation_set_errors(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
         assert main(["train", "--config", str(cfg_path)]) == 0
@@ -683,6 +711,14 @@ class TestEval:
         assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "784 features, network expects 100" in err
+
+    def test_checkpoint_of_another_output_width(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        ckpt = tmp_path / "five.qckpt"
+        save_checkpoint(ckpt, init_network_params(784, 16, 1, 5, np.random.default_rng(0)))
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "output layer is 5 wide, not 10" in err
 
     def test_checkpoint_whose_weights_do_not_chain(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

@@ -14,6 +14,7 @@ from qmlp.data import (
     TruncatedFile,
     encode_dataset,
     load_raw_dataset,
+    parse_idx,
     parse_idx_images,
     parse_idx_labels,
     subset,
@@ -97,6 +98,20 @@ class TestIdxParsing:
     def test_truncated_labels(self):
         with pytest.raises(TruncatedFile):
             parse_idx_labels(label_bytes([1, 2, 3])[:-1])
+
+    def test_parse_idx_follows_the_magic_word(self):
+        assert parse_idx(image_bytes(2, rows=3, cols=3, fill=4)).shape == (2, 3, 3)
+        assert parse_idx(label_bytes([4, 1])).tolist() == [4, 1]
+        with pytest.raises(MagicMismatch, match="unknown magic 0x12345678"):
+            parse_idx(b"\x12\x34\x56\x78" + b"\x00" * 8)
+        with pytest.raises(TruncatedFile, match="3 bytes, smaller than the magic word"):
+            parse_idx(struct.pack(">I", LABEL_MAGIC)[:3])
+
+    def test_huge_declared_size_is_truncation(self):
+        top = 2**32 - 1
+        blob = struct.pack(">IIII", IMAGE_MAGIC, top, top, top)
+        with pytest.raises(TruncatedFile, match=f"header declares {16 + top**3} bytes"):
+            parse_idx(blob)
 
     def test_roundtrip_is_byte_identical(self):
         rng = np.random.default_rng(42)

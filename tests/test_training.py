@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmlp.data import EncodedDataset
+from qmlp.data import NUM_CLASSES, EncodedDataset, LabelOutOfRange
 from qmlp.network import NetworkParams, init_network_params
 from qmlp import training
 from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
@@ -191,10 +191,19 @@ class TestTrain:
 
     def test_label_beyond_num_classes_is_config_error(self, tiny_data):
         train_set, val_set = tiny_data
-        top = int(train_set.y.max())
-        with pytest.raises(ConfigInvalid, match=f"training label {top} "):
-            train(tiny_hyper(num_classes=top), train_set, val_set)
-        assert train(tiny_hyper(num_classes=top + 1, epochs=0), train_set, val_set).records == []
+
+        def last_label(data, label):
+            y = data.y.copy()
+            y[-1] = label
+            return EncodedDataset(data.X, y)
+
+        for label in (NUM_CLASSES, -1):
+            with pytest.raises(LabelOutOfRange, match=f"training label {label} at index 63 "):
+                train(tiny_hyper(), last_label(train_set, label), val_set)
+            with pytest.raises(LabelOutOfRange, match=f"validation label {label} at index 31 "):
+                train(tiny_hyper(), train_set, last_label(val_set, label))
+        top = last_label(train_set, NUM_CLASSES - 1), last_label(val_set, NUM_CLASSES - 1)
+        assert train(tiny_hyper(epochs=0), *top).records == []
 
     def test_learning_happens_on_tiny_problem(self):
         # trivially separable inputs: the loss should drop
@@ -204,7 +213,7 @@ class TestTrain:
         X[np.arange(128), y] = 1.0
         data = EncodedDataset(X=X, y=y)
         hyper = tiny_hyper(
-            epochs=30, train_size=128, val_size=128, batch_size=32, num_classes=4
+            epochs=30, train_size=128, val_size=128, batch_size=32
         )
         metrics = train(hyper, data, data)
         assert metrics.records[-1].mean_loss < metrics.records[0].mean_loss
