@@ -19,6 +19,7 @@ the reproducibility tests rely on.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 
@@ -100,15 +101,13 @@ def load_checkpoint(path):
     offset = 16 + hlen
     arrays = []
     for shape in weight_shapes + velocity_shapes:
-        nbytes = 8 * int(np.prod(shape))
-        if len(data) < offset + nbytes:
+        count = math.prod(shape)  # a Python int: np.prod would wrap a huge shape around int64
+        if len(data) < offset + 8 * count:
             raise CheckpointCorrupt(f"{path}: truncated payload")
         arrays.append(
-            np.frombuffer(data, dtype="<f8", count=int(np.prod(shape)), offset=offset)
-            .reshape(shape)
-            .copy()
+            np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         )
-        offset += nbytes
+        offset += 8 * count
     if offset != len(data):
         raise CheckpointCorrupt(f"{path}: {len(data) - offset} trailing bytes")
     nw = len(weight_shapes)

@@ -14,7 +14,7 @@ from .checkpoint import load_checkpoint, write_atomic
 from .config import RunConfig, load_config
 from .inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
 from .network import QmlpError, ShapeMismatch
-from .sweep import load_datasets, run_sweep, run_training_job
+from .sweep import load_val_set, run_sweep, run_training_job
 
 
 def _job_config(args) -> RunConfig:
@@ -52,7 +52,7 @@ def cmd_eval(args) -> int:
     if params.output_size != data_mod.NUM_CLASSES:
         raise ShapeMismatch(f"{args.checkpoint}: output layer is {params.output_size} wide, "
                             f"not {data_mod.NUM_CLASSES}")
-    _train_set, val_set = load_datasets(cfg)
+    val_set = load_val_set(cfg)
     quantum, policy, curve = cfg.hyper.quantum, cfg.policy, args.shots_curve
     multi = policy.mode == "multi_shot"
     det = evaluate(params, val_set, InferencePolicy.deterministic())

@@ -1,14 +1,17 @@
 """Run configuration: YAML files, dotted --set overrides, angle expressions.
 
-Angles may be written as fractions of pi ("pi/2", "5pi/19", "9*pi/19") or
-as plain numbers. Unknown keys are rejected so typos fail loudly instead
-of silently training the wrong model.
+Every key is dotted ("training.epochs"); a file's sections and each --set
+are flattened into those keys and checked by one table. Angles may be
+written as fractions of pi ("pi/2", "5pi/19", "9*pi/19") or as plain
+numbers. Unknown keys are rejected so typos fail loudly instead of
+silently training the wrong model.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 import yaml
@@ -95,119 +98,101 @@ def _real(value) -> float:
     return float(value)
 
 
-# YAML schema: section -> {key: converter}
+# Every config key, dotted: a file's `section: {key: ...}` and `--set section.key=...` name it
 _SCHEMA = {
-    "data": {
-        "train_images": _path,
-        "train_labels": _path,
-        "val_images": _path,
-        "val_labels": _path,
-        "subset_seed": _seed,
-    },
-    "model": {
-        "hidden_layers": _integer,
-        "hidden_size": _integer,
-    },
-    "training": {
-        "learning_rate": _real,
-        "momentum": _real,
-        "batch_size": _integer,
-        "epochs": _integer,
-        "train_size": _integer,
-        "val_size": _integer,
-        "seed": _seed,
-        "bp_scale": _real,
-    },
-    "quantum": {
-        "a": _real,
-        "g": parse_angle,
-    },
-    "inference": {
-        "mode": str,
-        "shots": _integer,
-        "seed": _seed,
-    },
-    "sweep": {
-        "a_values": lambda v: tuple(_real(x) for x in v),
-        "g_values": lambda v: tuple(parse_angle(x) for x in v),
-        "seeds": lambda v: tuple(_seed(x) for x in v),
-    },
+    "data.train_images": _path,
+    "data.train_labels": _path,
+    "data.val_images": _path,
+    "data.val_labels": _path,
+    "data.subset_seed": _seed,
+    "model.hidden_layers": _integer,
+    "model.hidden_size": _integer,
+    "training.learning_rate": _real,
+    "training.momentum": _real,
+    "training.batch_size": _integer,
+    "training.epochs": _integer,
+    "training.train_size": _integer,
+    "training.val_size": _integer,
+    "training.seed": _seed,
+    "training.bp_scale": _real,
+    "quantum.a": _real,
+    "quantum.g": parse_angle,
+    "inference.mode": str,
+    "inference.shots": _integer,
+    "inference.seed": _seed,
+    "sweep.a_values": lambda v: tuple(_real(x) for x in v),
+    "sweep.g_values": lambda v: tuple(parse_angle(x) for x in v),
+    "sweep.seeds": lambda v: tuple(_seed(x) for x in v),
+    "out_dir": _path,
 }
+_SECTIONS = {key.partition(".")[0] for key in _SCHEMA if "." in key}
 
 
-def _convert(name: str, convert, value):
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigInvalid(f"bad value for {name}: {exc}") from exc
-
-
-def _converted_section(raw: dict, section: str) -> dict:
-    spec = _SCHEMA[section]
-    sub = raw.get(section) or {}
-    if not isinstance(sub, dict):
-        raise ConfigInvalid(f"section {section!r} must be a mapping")
-    out = {}
-    for key, value in sub.items():
-        if key not in spec:
-            raise ConfigInvalid(f"unknown config key {section}.{key}")
-        out[key] = _convert(f"{section}.{key}", spec[key], value)
-    return out
+def _flatten(raw: dict) -> dict:
+    """Spell each section's entries as dotted keys; a null section is empty, a dotted key stays."""
+    flat = {}
+    for key, value in raw.items():
+        if key not in _SECTIONS:
+            flat[key] = value
+        elif value is None or isinstance(value, dict):
+            flat.update((f"{key}.{sub}", v) for sub, v in (value or {}).items())
+        else:
+            raise ConfigInvalid(f"section {key!r} must be a mapping")
+    return flat
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    raw = dict(raw or {})
-    known = set(_SCHEMA) | {"out_dir"}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigInvalid(f"unknown config section(s): {sorted(unknown)}")
+    given = defaultdict(dict)  # section -> {key: converted value}; out_dir's section is ""
+    for dotted, value in _flatten(raw or {}).items():
+        if dotted not in _SCHEMA:
+            raise ConfigInvalid(f"unknown config key {dotted}")
+        section, _, key = dotted.rpartition(".")
+        try:
+            given[section][key] = _SCHEMA[dotted](value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ConfigInvalid(f"bad value for {dotted}: {exc}") from exc
 
-    data = DataConfig(**_converted_section(raw, "data"))
-    hyper_kwargs = _converted_section(raw, "model")
-    hyper_kwargs.update(_converted_section(raw, "training"))
-    q = _converted_section(raw, "quantum")
-    sweep = _converted_section(raw, "sweep")
+    quantum = QuantumConfig(**given["quantum"])
+    sweep = given["sweep"]
     for key, values in sweep.items():  # a repeat would train one cell twice, into one directory
         if not values or len(set(values)) != len(values):
             raise ConfigInvalid(f"sweep.{key} is empty or repeats a value: {list(values)}")
-    quantum = QuantumConfig(a=q.get("a", 0.0), g=q.get("g", HALF_PI))
     a_values = sweep.get("a_values", (quantum.a,))
     g_values = sweep.get("g_values", (quantum.g,))
     for a in a_values:  # every cell's point, before any cell starts
         for g in g_values:
             QuantumConfig(a=a, g=g)
-    hyper = Hyperparams(quantum=quantum, **hyper_kwargs)
-    policy = InferencePolicy(**_converted_section(raw, "inference"))
+    hyper = Hyperparams(quantum=quantum, **given["model"], **given["training"])
     return RunConfig(
-        data=data,
+        data=DataConfig(**given["data"]),
         hyper=hyper,
-        policy=policy,
+        policy=InferencePolicy(**given["inference"]),
         a_values=a_values,
         g_values=g_values,
         seeds=sweep.get("seeds", (hyper.seed,)),
-        out_dir=_convert("out_dir", _path, raw.get("out_dir", "runs/run")),
+        **given[""],
     )
 
 
 def apply_overrides(raw: dict, sets) -> dict:
-    """Apply --set dotted.key=value overrides onto a raw config dict."""
+    """Apply --set dotted.key=value overrides to a raw config; return it as dotted keys.
+
+    `--set section={key: value}` sets the keys it names and keeps the section's others.
+    """
+    flat = _flatten(raw)
     for item in sets:
         if "=" not in item:
             raise ConfigInvalid(f"--set expects key=value, got {item!r}")
         dotted, text = item.split("=", 1)
-        keys = dotted.strip().split(".")
-        if not all(keys):
+        dotted = dotted.strip()
+        if not all(dotted.split(".")):
             raise ConfigInvalid(f"bad --set key {dotted!r}")
-        node = raw
-        for key in keys[:-1]:
-            node = node.setdefault(key, {})
-            if not isinstance(node, dict):
-                raise ConfigInvalid(f"--set {dotted}: {key} is not a section")
         try:
-            node[keys[-1]] = yaml.safe_load(text)
+            value = yaml.safe_load(text)
         except yaml.YAMLError as exc:
             raise ConfigInvalid(f"cannot parse --set {item!r}: {exc}") from exc
-    return raw
+        flat.update(_flatten({dotted: value}))
+    return flat
 
 
 def load_config(path=None, sets=()) -> RunConfig:

@@ -105,8 +105,11 @@ def _idx_payload(data: bytes, magic: int, kind: str, ndims: int) -> np.ndarray:
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
-    """Parse an IDX image file into a (n, rows, cols) uint8 array."""
-    return _idx_payload(data, IMAGE_MAGIC, "image", 3).copy()
+    """Parse an IDX image file into a (n, rows, cols) uint8 array with rows, cols >= 1."""
+    images = _idx_payload(data, IMAGE_MAGIC, "image", 3)
+    if 0 in images.shape[1:]:
+        raise ShapeMismatch(f"images of {images.shape[1]}x{images.shape[2]} pixels have no pixel")
+    return images.copy()
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:

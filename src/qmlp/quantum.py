@@ -51,7 +51,7 @@ HALF_PI = np.pi / 2
 class QuantumConfig:
     """Point on the classical <-> quantum continuum: stretch a, angle g."""
 
-    a: float
+    a: float = 0.0
     g: float = HALF_PI
 
     def __post_init__(self):

@@ -13,8 +13,9 @@ temporary file and a rename, a cell's result.json last; a job refused for
 its config or data touches no file. A cell whose result.json already
 exists is skipped wholesale, so re-running a finished sweep rewrites
 nothing and a crashed sweep resumes where it stopped; a result.json that
-does not parse raises ResultCorrupt. Cells are independent, which is what
-makes --threads > 1 safe and result-invariant.
+does not parse raises ResultCorrupt, and one that records another job's
+a, g, seed or epochs raises ResultMismatch. Cells are independent, which
+is what makes --threads > 1 safe and result-invariant.
 """
 
 from __future__ import annotations
@@ -41,34 +42,54 @@ class ResultCorrupt(QmlpError):
     """A run directory's result.json exists but does not parse."""
 
 
+class ResultMismatch(QmlpError):
+    """A run directory's result.json records another job's a, g, seed or epochs."""
+
+
 @lru_cache(maxsize=4)
-def _load_encoded(data: DataConfig, train_size: int, val_size: int):
-    train_raw = load_raw_dataset(data.train_images, data.train_labels)
-    val_raw = load_raw_dataset(data.val_images, data.val_labels)
-    train_raw = subset(train_raw, train_size, data.subset_seed)
-    if val_size < val_raw.count:
-        # dedicated val stream so the val subset is also sweep-invariant
-        val_raw = subset(val_raw, val_size, mix64(data.subset_seed, 1))
-    return encode_dataset(train_raw), encode_dataset(val_raw)
+def _train_split(data: DataConfig, size: int):
+    raw = load_raw_dataset(data.train_images, data.train_labels)
+    return encode_dataset(subset(raw, size, data.subset_seed))
+
+
+@lru_cache(maxsize=4)
+def _val_split(data: DataConfig, size: int):
+    raw = load_raw_dataset(data.val_images, data.val_labels)
+    if size < raw.count:  # dedicated val stream so the val subset is also sweep-invariant
+        raw = subset(raw, size, mix64(data.subset_seed, 1))
+    return encode_dataset(raw)
+
+
+def load_val_set(cfg: RunConfig):
+    """The encoded validation split alone; the training files are not read."""
+    return _val_split(cfg.data, cfg.hyper.val_size)
 
 
 def load_datasets(cfg: RunConfig):
-    return _load_encoded(cfg.data, cfg.hyper.train_size, cfg.hyper.val_size)
+    """The encoded (training, validation) splits, each cached on its own."""
+    return _train_split(cfg.data, cfg.hyper.train_size), load_val_set(cfg)
 
 
 def run_training_job(cfg: RunConfig, out_dir) -> dict:
     """Train one model under cfg.hyper and write its artifacts to out_dir."""
     out_dir = Path(out_dir)
     result_path = out_dir / "result.json"
+    job = {"a": cfg.hyper.quantum.a, "g": cfg.hyper.quantum.g, "seed": cfg.hyper.seed,
+           "epochs": cfg.hyper.epochs}  # the result.json fields that name the job
     if result_path.exists():
         try:
-            return json.loads(result_path.read_text())
-        except ValueError as exc:
+            result = json.loads(result_path.read_text())
+            recorded = {key: result[key] for key in job}
+        except (ValueError, KeyError, TypeError) as exc:
             raise ResultCorrupt(
-                f"{result_path}: unreadable ({exc}); delete it to re-run this job"
+                f"{result_path}: unreadable ({exc!r}); delete it to re-run this job"
             ) from exc
+        if recorded != job:
+            raise ResultMismatch(f"{result_path}: records the job {recorded}, not {job}; "
+                                 "delete it or choose another output directory")
+        return result
     train_set, val_set = load_datasets(cfg)
-    check_datasets(cfg.hyper, train_set, val_set)  # a refused job leaves out_dir as it was
+    check_datasets(train_set, val_set)  # a refused job leaves out_dir as it was
     out_dir.mkdir(parents=True, exist_ok=True)
 
     metrics_path = out_dir / "metrics.jsonl"
@@ -103,16 +124,13 @@ def run_training_job(cfg: RunConfig, out_dir) -> dict:
         final_val = evaluate(metrics.params, val_set, cfg.policy, quantum=cfg.hyper.quantum)
     val_errors = [r.val_error for r in metrics.records]
     result = {
-        "a": cfg.hyper.quantum.a,
-        "g": cfg.hyper.quantum.g,
-        "seed": cfg.hyper.seed,
+        **job,
         "final_val_error": final_val,
         "final_val_error_deterministic": det_val,
         "final_train_error": train_err,
         # best over the per-epoch curve (per-epoch measurement policy)
         "best_val_error": min(val_errors) if val_errors else det_val,
         "wall_time_s": wall,
-        "epochs": cfg.hyper.epochs,
     }
     write_atomic(result_path, (json.dumps(result, sort_keys=True) + "\n").encode("utf-8"))
     return result

@@ -45,7 +45,7 @@ class Hyperparams:
     epochs: int = 500
     train_size: int = 5000
     val_size: int = 10000
-    quantum: QuantumConfig = field(default_factory=lambda: QuantumConfig(a=0.0))
+    quantum: QuantumConfig = field(default_factory=QuantumConfig)
     seed: int = 1
     bp_scale: float = 1.0
 
@@ -119,15 +119,18 @@ def training_error(params: NetworkParams, data: EncodedDataset) -> float:
     return float(np.mean(preds != data.y))
 
 
-def check_datasets(hyper: Hyperparams, train_set: EncodedDataset, val_set: EncodedDataset):
-    """Raise a QmlpError if `train` cannot run on these datasets."""
-    if train_set.count == 0 and hyper.epochs > 0:
-        raise ConfigInvalid("cannot train on an empty dataset")
+def check_datasets(train_set: EncodedDataset, val_set: EncodedDataset):
+    """Raise a QmlpError if `train` cannot run on these datasets.
+
+    Neither set may be empty, even for 0 epochs: every run reports its training error.
+    """
+    if train_set.count == 0:
+        raise ConfigInvalid("cannot train on an empty training set")
     if val_set.count == 0:
         raise EmptyDataset("cannot evaluate an empty validation set")
     check_labels(train_set.y, "training label")
     check_labels(val_set.y, "validation label")
-    if train_set.count and train_set.X.shape[1] != val_set.X.shape[1]:
+    if train_set.X.shape[1] != val_set.X.shape[1]:
         raise ShapeMismatch(
             f"train and validation inputs disagree: "
             f"{train_set.X.shape[1]} vs {val_set.X.shape[1]} features"
@@ -146,7 +149,7 @@ def train(
     append to a metrics log. The result holds the final weights and
     optimizer state.
     """
-    check_datasets(hyper, train_set, val_set)
+    check_datasets(train_set, val_set)
     params = init_network_params(
         input_size=train_set.X.shape[1],
         hidden_size=hyper.hidden_size,

@@ -1,7 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from qmlp.checkpoint import (
+    MAGIC,
+    VERSION,
     CheckpointCorrupt,
     checkpoint_bytes,
     load_checkpoint,
@@ -48,6 +53,16 @@ def test_truncated_payload(tmp_path, params):
     path = tmp_path / "trunc.qckpt"
     path.write_bytes(blob[:-20])
     with pytest.raises(CheckpointCorrupt):
+        load_checkpoint(path)
+
+
+def test_shape_that_overflows_int64_is_truncation(tmp_path):
+    side = 1 << 32  # side * side wraps to 0 in int64
+    header = json.dumps({"epoch": 0, "meta": {}, "weights": [[side, side]],
+                         "velocity": [[side, side]]}).encode()
+    path = tmp_path / "huge.qckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header)) + header)
+    with pytest.raises(CheckpointCorrupt, match="truncated payload"):
         load_checkpoint(path)
 
 

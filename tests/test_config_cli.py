@@ -1,6 +1,8 @@
 import json
 import math
 import re
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +11,10 @@ import yaml
 import qmlp.cli
 import qmlp.inference
 import qmlp.training
-from qmlp.checkpoint import load_checkpoint, save_checkpoint
+from qmlp.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from qmlp.cli import build_parser, main
 from qmlp.config import (
+    DataConfig,
     apply_overrides,
     config_from_dict,
     load_config,
@@ -20,9 +23,9 @@ from qmlp.config import (
 from qmlp.data import RawDataset
 from qmlp.inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
 from qmlp.network import NetworkParams, init_network_params
-from qmlp.quantum import HALF_PI
+from qmlp.quantum import HALF_PI, QuantumConfig
 from qmlp.sweep import CSV_HEADER, ResultCorrupt, load_datasets, run_training_job, write_sweep_csv
-from qmlp.training import ConfigInvalid, train
+from qmlp.training import ConfigInvalid, Hyperparams, train
 
 from synthdigits import write_idx_pair
 
@@ -178,6 +181,34 @@ class TestConfig:
         assert cfg.hyper.hidden_size == default.hyper.hidden_size
         assert cfg.policy == default.policy
         assert load_config() == default
+
+    def test_empty_section_takes_dotted_overrides(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("quantum:\ntraining:\n  epochs: 3\n")
+        cfg = load_config(path, ["quantum.a=0.3"])
+        assert cfg.hyper.quantum == QuantumConfig(a=0.3, g=HALF_PI)
+        assert cfg.hyper.epochs == 3
+        assert load_config(path, ["quantum="]) == load_config(None, ["training.epochs=3"])
+
+    @pytest.mark.parametrize(
+        "section, text",
+        [("quantum", "0"), ("training", "[]"), ("quantum", "false"), ("quantum", "''")],
+    )
+    def test_section_that_is_not_a_mapping_is_refused(self, section, text, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text(f"{section}: {text}\n")
+        message = f"section '{section}' must be a mapping"
+        with pytest.raises(ConfigInvalid, match=message):
+            load_config(path)
+        path.write_text("training:\n  epochs: 3\n")
+        with pytest.raises(ConfigInvalid, match=message):
+            load_config(path, [f"{section}={text}"])
+
+    def test_set_section_keeps_the_keys_it_does_not_name(self, tmp_path):
+        path = tmp_path / "run.yaml"
+        path.write_text("quantum:\n  a: 0.3\n")
+        cfg = load_config(path, ["quantum={g: pi/4}"])
+        assert (cfg.hyper.quantum.a, cfg.hyper.quantum.g) == (0.3, math.pi / 4)
 
 
 class TestOptionSurface:
@@ -369,6 +400,11 @@ class TestTrainJob:
             ("data.val_labels=", "bad value for data.val_labels"),
             ("training.train_size=-5", "train_size must be >= 0, got -5"),
             ("training.val_size=0", "val_size must be >= 1, got 0"),
+            ("training={train_size: 0, epochs: 0}", "cannot train on an empty training set"),
+            ("quantum=0", "section 'quantum' must be a mapping"),
+            ("training=[]", "section 'training' must be a mapping"),
+            ("quantum=false", "section 'quantum' must be a mapping"),
+            ("quantum=''", "section 'quantum' must be a mapping"),
         ],
     )
     def test_refused_job_leaves_out_dir_as_it_was(
@@ -448,6 +484,58 @@ class TestTrainJob:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "784 vs 100 features" in err
         assert not fresh.exists()
+
+    @pytest.mark.parametrize(
+        "text", ["quantum: 0", "training: []", "quantum: false", "quantum: ''"]
+    )
+    def test_file_section_that_is_not_a_mapping_is_refused(
+        self, text, tmp_path, small_idx_dir, capsys
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        raw = {**yaml.safe_load(cfg_path.read_text()), **yaml.safe_load(text)}
+        cfg_path.write_text(yaml.safe_dump(raw))
+        fresh = tmp_path / "fresh"
+        assert main(["train", "--config", str(cfg_path), "--out", str(fresh)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "must be a mapping" in err
+        assert not fresh.exists()
+
+    def test_images_without_pixels_are_refused(self, tmp_path, small_idx_dir, capsys):
+        for prefix, n in (("train", 160), ("t10k", 80)):
+            flat = RawDataset(np.zeros((n, 0, 28), np.uint8), np.arange(n) % 10)
+            write_idx_pair(small_idx_dir, flat, prefix)
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        fresh = tmp_path / "fresh"
+        assert main(["train", "--config", str(cfg_path), "--out", str(fresh)]) == 1
+        err = capsys.readouterr().err
+        images = small_idx_dir / "train-images-idx3-ubyte"
+        assert err.startswith(f"error: {images}: images of 0x28 pixels")
+        assert not fresh.exists()
+
+    @pytest.mark.parametrize(
+        "override, recorded, asked",
+        [
+            ("quantum.a=0.5", "'a': 0.0", "'a': 0.5"),
+            ("quantum.g=pi/4", f"'g': {HALF_PI}", f"'g': {math.pi / 4}"),
+            ("training.seed=4", "'seed': 3", "'seed': 4"),
+            ("training.epochs=3", "'epochs': 1", "'epochs': 3"),
+        ],
+    )
+    def test_finished_out_dir_answers_only_for_its_own_job(
+        self, override, recorded, asked, tmp_path, small_idx_dir, capsys
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path), "--set", override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'result.json'}: records the job ")
+        assert recorded in err and asked in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+        assert main(["train", "--config", str(cfg_path)]) == 0  # the same job reuses it
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestSweep:
@@ -736,6 +824,35 @@ class TestEval:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_eval_reads_only_the_validation_files(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        assert main(["train", "--config", str(cfg_path), "--set", "quantum.a=0.5"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.qckpt"
+        argv = ["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt),
+                "--set", "quantum.a=0.5"]
+        missing = tmp_path / "nonexistent"
+        printed = []
+        for extra in (
+            [],
+            ["--set", f"data.train_images={missing}", "--set", f"data.train_labels={missing}"],
+            ["--set", "training.train_size=161"],
+        ):
+            capsys.readouterr()
+            assert main(argv + extra) == 0
+            printed.append(capsys.readouterr().out)
+        assert "multi_shot_error=" in printed[0]
+        assert printed[1] == printed[0] and printed[2] == printed[0]
+
+    def test_checkpoint_shape_that_overflows_int64(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        side = 1 << 32  # side * side wraps to 0 in int64
+        header = json.dumps({"epoch": 0, "meta": {}, "weights": [[side, side]],
+                             "velocity": [[side, side]]}).encode()
+        ckpt = tmp_path / "huge.qckpt"
+        ckpt.write_bytes(MAGIC + struct.pack("<II", VERSION, len(header)) + header)
+        assert main(["eval", "--config", str(cfg_path), "--checkpoint", str(ckpt)]) == 1
+        assert capsys.readouterr().err == f"error: {ckpt}: truncated payload\n"
+
 
 class TestFetchCheck:
     def test_valid_files(self, small_idx_dir, capsys):
@@ -782,3 +899,32 @@ def test_run_training_job_epochs_zero(tmp_path, small_idx_dir):
     assert result["epochs"] == 0
     assert (tmp_path / "zero" / "metrics.jsonl").read_text() == ""
     assert 0.0 <= result["final_val_error"] <= 1.0
+
+
+def test_checked_in_benchmark_config():
+    cfg = load_config(Path(__file__).resolve().parent.parent / "configs" / "benchmark.yaml")
+    assert cfg.data == DataConfig(
+        train_images="data/mnist/train-images-idx3-ubyte",
+        train_labels="data/mnist/train-labels-idx1-ubyte",
+        val_images="data/mnist/t10k-images-idx3-ubyte",
+        val_labels="data/mnist/t10k-labels-idx1-ubyte",
+        subset_seed=7,
+    )
+    assert cfg.hyper == Hyperparams(
+        hidden_layers=3,
+        hidden_size=512,
+        learning_rate=0.01,
+        momentum=0.9,
+        batch_size=64,
+        epochs=500,
+        train_size=5000,
+        val_size=10000,
+        quantum=QuantumConfig(a=0.0, g=HALF_PI),
+        seed=1,
+        bp_scale=1.0,
+    )
+    assert cfg.policy == InferencePolicy(mode="multi_shot", shots=15, seed=2024)
+    assert cfg.a_values == (0.0, 0.0316227766, 0.1, 0.316227766, 0.4641588834, 1.0, 3.16227766)
+    assert cfg.g_values == (HALF_PI,)
+    assert cfg.seeds == (1,)
+    assert cfg.out_dir == "runs/benchmark"

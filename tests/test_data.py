@@ -17,6 +17,7 @@ from qmlp.data import (
     parse_idx,
     parse_idx_images,
     parse_idx_labels,
+    read_idx,
     subset,
 )
 from qmlp.network import ShapeMismatch
@@ -112,6 +113,15 @@ class TestIdxParsing:
         blob = struct.pack(">IIII", IMAGE_MAGIC, top, top, top)
         with pytest.raises(TruncatedFile, match=f"header declares {16 + top**3} bytes"):
             parse_idx(blob)
+
+    @pytest.mark.parametrize("rows, cols", [(0, 28), (28, 0), (0, 0)])
+    def test_image_dimension_of_zero_is_refused(self, rows, cols, tmp_path):
+        path = tmp_path / "flat-images"
+        path.write_bytes(serialize_idx_images(np.zeros((5, rows, cols), np.uint8)))
+        with pytest.raises(ShapeMismatch, match=f"{path}: images of {rows}x{cols} pixels"):
+            read_idx(path, parse_idx_images)
+        with pytest.raises(ShapeMismatch, match="have no pixel"):
+            parse_idx(serialize_idx_images(np.zeros((0, rows, cols), np.uint8)))
 
     def test_roundtrip_is_byte_identical(self):
         rng = np.random.default_rng(42)
