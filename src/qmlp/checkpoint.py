@@ -13,7 +13,8 @@ holds {"epoch": int, "meta": {...}, "weights": [[rows, cols], ...],
 "velocity": [[rows, cols], ...]}. The payload is the weight matrices in
 order followed by the velocity matrices, each C-order float64
 little-endian. Identical inputs therefore produce identical bytes, which
-the reproducibility tests rely on.
+the reproducibility tests rely on. A file holding a NaN or infinite entry
+does not load.
 """
 
 from __future__ import annotations
@@ -26,33 +27,32 @@ import struct
 import numpy as np
 
 from .network import NetworkParams, QmlpError
-from .training import OptimizerState
 
 MAGIC = b"QMLPCKPT"
 VERSION = 1
 
 
 class CheckpointCorrupt(QmlpError):
-    """Checkpoint file is malformed, truncated, or of an unknown version."""
+    """Checkpoint file is malformed, truncated, non-finite, or of an unknown version."""
 
 
 def checkpoint_bytes(
     params: NetworkParams,
-    opt: OptimizerState | None = None,
+    velocity: list | None = None,
     epoch: int = 0,
     meta: dict | None = None,
 ) -> bytes:
-    if opt is None:
-        opt = OptimizerState.zeros_like(params)
+    if velocity is None:
+        velocity = [np.zeros_like(w) for w in params.W]
     header = {
         "epoch": int(epoch),
         "meta": meta or {},
         "weights": [list(w.shape) for w in params.W],
-        "velocity": [list(v.shape) for v in opt.velocity],
+        "velocity": [list(v.shape) for v in velocity],
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     parts = [MAGIC, struct.pack("<II", VERSION, len(blob)), blob]
-    for arr in list(params.W) + list(opt.velocity):
+    for arr in list(params.W) + list(velocity):
         parts.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     return b"".join(parts)
 
@@ -69,12 +69,12 @@ def write_atomic(path, data: bytes):
     os.replace(tmp, path)
 
 
-def save_checkpoint(path, params, opt=None, epoch=0, meta=None):
-    write_atomic(path, checkpoint_bytes(params, opt, epoch, meta))
+def save_checkpoint(path, params, velocity=None, epoch=0, meta=None):
+    write_atomic(path, checkpoint_bytes(params, velocity, epoch, meta))
 
 
 def load_checkpoint(path):
-    """Return (params, opt, epoch, meta) or raise CheckpointCorrupt."""
+    """Return (params, velocity, epoch, meta) or raise CheckpointCorrupt."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:8] != MAGIC:
@@ -111,6 +111,8 @@ def load_checkpoint(path):
     if offset != len(data):
         raise CheckpointCorrupt(f"{path}: {len(data) - offset} trailing bytes")
     nw = len(weight_shapes)
-    params = NetworkParams(arrays[:nw])
-    opt = OptimizerState(velocity=arrays[nw:])
-    return params, opt, epoch, meta
+    for i, arr in enumerate(arrays):
+        if not np.isfinite(arr).all():
+            name = f"weight matrix {i}" if i < nw else f"velocity matrix {i - nw}"
+            raise CheckpointCorrupt(f"{path}: {name} holds a NaN or infinite entry")
+    return NetworkParams(arrays[:nw]), arrays[nw:], epoch, meta

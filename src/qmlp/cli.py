@@ -48,7 +48,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config, args.set or ())
-    params, _opt, _epoch, _meta = load_checkpoint(args.checkpoint)
+    params = load_checkpoint(args.checkpoint)[0]
     if params.output_size != data_mod.NUM_CLASSES:
         raise ShapeMismatch(f"{args.checkpoint}: output layer is {params.output_size} wide, "
                             f"not {data_mod.NUM_CLASSES}")

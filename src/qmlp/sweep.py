@@ -5,17 +5,17 @@ owns one output directory containing:
 
     metrics.jsonl   one JSON record per epoch (no timestamps, so two
                     identical runs produce identical bytes)
-    checkpoint.qckpt  final weights + optimizer state (deterministic bytes)
-    result.json     summary row for the sweep CSV (includes wall time)
+    checkpoint.qckpt  final weights + velocity; its meta is the job record
+    result.json     sweep CSV row, wall time, and the job record (every job setting)
 
 checkpoint.qckpt, result.json and sweep.csv are written through a
 temporary file and a rename, a cell's result.json last; a job refused for
 its config or data touches no file. A cell whose result.json already
 exists is skipped wholesale, so re-running a finished sweep rewrites
 nothing and a crashed sweep resumes where it stopped; a result.json that
-does not parse raises ResultCorrupt, and one that records another job's
-a, g, seed or epochs raises ResultMismatch. Cells are independent, which
-is what makes --threads > 1 safe and result-invariant.
+does not parse raises ResultCorrupt, and one whose job record is not the
+asked job's, or that holds none, raises ResultMismatch. Cells are
+independent, which is what makes --threads > 1 safe and result-invariant.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .rng import mix64
 from .training import check_datasets, train, training_error
 
 CSV_HEADER = "a,g,seed,final_val_error,final_train_error,best_val_error,wall_time_s"
+NUMERICS = 1  # the version of the arithmetic behind a job's artifacts
 
 
 class ResultCorrupt(QmlpError):
@@ -43,7 +44,7 @@ class ResultCorrupt(QmlpError):
 
 
 class ResultMismatch(QmlpError):
-    """A run directory's result.json records another job's a, g, seed or epochs."""
+    """A run directory's result.json records another job, or no job record."""
 
 
 @lru_cache(maxsize=4)
@@ -70,22 +71,35 @@ def load_datasets(cfg: RunConfig):
     return _train_split(cfg.data, cfg.hyper.train_size), load_val_set(cfg)
 
 
+def _settings(value, name="job") -> dict:
+    """The leaves of a nested job record, by dotted name."""
+    if not isinstance(value, dict):
+        return {name: value}
+    return {k: v for key, sub in value.items() for k, v in _settings(sub, f"{name}.{key}").items()}
+
+
 def run_training_job(cfg: RunConfig, out_dir) -> dict:
     """Train one model under cfg.hyper and write its artifacts to out_dir."""
     out_dir = Path(out_dir)
     result_path = out_dir / "result.json"
-    job = {"a": cfg.hyper.quantum.a, "g": cfg.hyper.quantum.g, "seed": cfg.hyper.seed,
-           "epochs": cfg.hyper.epochs}  # the result.json fields that name the job
+    job = {"data": asdict(cfg.data), "hyper": asdict(cfg.hyper), "policy": asdict(cfg.policy),
+           "numerics": NUMERICS}
     if result_path.exists():
         try:
             result = json.loads(result_path.read_text())
-            recorded = {key: result[key] for key in job}
-        except (ValueError, KeyError, TypeError) as exc:
+            recorded = result.get("job")
+        except (ValueError, AttributeError) as exc:
             raise ResultCorrupt(
                 f"{result_path}: unreadable ({exc!r}); delete it to re-run this job"
             ) from exc
+        if not isinstance(recorded, dict):
+            raise ResultMismatch(f"{result_path}: holds no job record, so its job cannot be "
+                                 "checked; delete it to re-run this job")
         if recorded != job:
-            raise ResultMismatch(f"{result_path}: records the job {recorded}, not {job}; "
+            old, new = _settings(recorded), _settings(job)
+            diff = "; ".join(f"{k}: recorded {old.get(k)!r}, asked {new.get(k)!r}"
+                             for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k))
+            raise ResultMismatch(f"{result_path}: records another job ({diff}); "
                                  "delete it or choose another output directory")
         return result
     train_set, val_set = load_datasets(cfg)
@@ -106,11 +120,7 @@ def run_training_job(cfg: RunConfig, out_dir) -> dict:
     wall = time.perf_counter() - start
 
     save_checkpoint(
-        out_dir / "checkpoint.qckpt",
-        metrics.params,
-        metrics.opt,
-        epoch=cfg.hyper.epochs,
-        meta={"a": cfg.hyper.quantum.a, "g": cfg.hyper.quantum.g, "seed": cfg.hyper.seed},
+        out_dir / "checkpoint.qckpt", metrics.params, metrics.velocity, cfg.hyper.epochs, job
     )
 
     if metrics.records:  # the last epoch measured these weights deterministically
@@ -124,7 +134,8 @@ def run_training_job(cfg: RunConfig, out_dir) -> dict:
         final_val = evaluate(metrics.params, val_set, cfg.policy, quantum=cfg.hyper.quantum)
     val_errors = [r.val_error for r in metrics.records]
     result = {
-        **job,
+        "a": cfg.hyper.quantum.a, "g": cfg.hyper.quantum.g, "seed": cfg.hyper.seed,
+        "epochs": cfg.hyper.epochs, "job": job,
         "final_val_error": final_val,
         "final_val_error_deterministic": det_val,
         "final_train_error": train_err,

@@ -23,6 +23,7 @@ from .network import (
     ConfigInvalid,
     Gradients,
     NetworkParams,
+    QmlpError,
     ShapeMismatch,
     classical_forward_batch,
     init_network_params,
@@ -70,13 +71,8 @@ class Hyperparams:
             raise ConfigInvalid(f"bp_scale must be finite and > 0, got {self.bp_scale}")
 
 
-@dataclass
-class OptimizerState:
-    velocity: list
-
-    @classmethod
-    def zeros_like(cls, params: NetworkParams) -> "OptimizerState":
-        return cls(velocity=[np.zeros_like(w) for w in params.W])
+class Diverged(QmlpError):
+    """A batch's loss or the final weights are not finite."""
 
 
 @dataclass
@@ -91,26 +87,25 @@ class EpochRecord:
 class RunMetrics:
     records: list
     params: NetworkParams
-    opt: OptimizerState
+    velocity: list
 
 
 def sgd_momentum_step(
     params: NetworkParams,
-    opt: OptimizerState,
+    velocity: list,
     grads: Gradients,
     lr: float,
     momentum: float,
 ):
-    """In-place heavy-ball update; returns (params, opt) for convenience."""
+    """In-place heavy-ball update of the weights and their velocity matrices."""
     if len(grads) != len(params.W):
         raise ShapeMismatch(f"{len(grads)} gradients for {len(params.W)} matrices")
-    for w, v, g in zip(params.W, opt.velocity, grads):
+    for w, v, g in zip(params.W, velocity, grads):
         if g.shape != w.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} does not match {w.shape}")
         v *= momentum
         v -= lr * g
         w += v
-    return params, opt
 
 
 def training_error(params: NetworkParams, data: EncodedDataset) -> float:
@@ -147,7 +142,7 @@ def train(
 
     `on_epoch` is called with each EpochRecord as it is produced, e.g. to
     append to a metrics log. The result holds the final weights and
-    optimizer state.
+    velocity. A batch loss or final weight that is not finite raises Diverged.
     """
     check_datasets(train_set, val_set)
     params = init_network_params(
@@ -157,7 +152,7 @@ def train(
         output_size=NUM_CLASSES,
         rng=substream(hyper.seed, INIT),
     )
-    opt = OptimizerState.zeros_like(params)
+    velocity = [np.zeros_like(w) for w in params.W]
     records = []
     for epoch in range(hyper.epochs):
         plan = BatchPlan.make(train_set.count, hyper.batch_size, mix64(hyper.seed, SHUFFLE, epoch))
@@ -170,9 +165,12 @@ def train(
                 rngs = [substream(hyper.seed, FORWARD, epoch, batch, s) for s in range(len(idx))]
                 trace = quantum_forward_batch(params, X.T, hyper.quantum, rngs)
             losses, dF = softmax_cross_entropy_batch(trace.F, y)
+            loss = float(losses.sum())
+            if not np.isfinite(loss):
+                raise Diverged(f"epoch {epoch}, batch {batch}: the loss is {loss}")
             grads = ste_backward_batch(params, trace, dF, hyper.bp_scale)
-            sgd_momentum_step(params, opt, grads, hyper.learning_rate, hyper.momentum)
-            loss_sum += float(losses.sum())
+            sgd_momentum_step(params, velocity, grads, hyper.learning_rate, hyper.momentum)
+            loss_sum += loss
         record = EpochRecord(
             epoch=epoch,
             train_error=training_error(params, train_set),
@@ -182,4 +180,6 @@ def train(
         records.append(record)
         if on_epoch is not None:
             on_epoch(record)
-    return RunMetrics(records=records, params=params, opt=opt)
+    if hyper.epochs and not all(np.isfinite(w).all() for w in params.W):
+        raise Diverged(f"epoch {epoch}, batch {batch}: the final weights are not finite")
+    return RunMetrics(records=records, params=params, velocity=velocity)

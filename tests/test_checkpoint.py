@@ -13,7 +13,6 @@ from qmlp.checkpoint import (
     save_checkpoint,
 )
 from qmlp.network import NetworkParams, init_network_params
-from qmlp.training import OptimizerState
 
 
 @pytest.fixture()
@@ -22,22 +21,22 @@ def params():
 
 
 def test_roundtrip_exact(tmp_path, params):
-    opt = OptimizerState([np.full_like(w, 0.25) for w in params.W])
+    velocity = [np.full_like(w, 0.25) for w in params.W]
     path = tmp_path / "model.qckpt"
-    save_checkpoint(path, params, opt, epoch=17, meta={"a": 0.5, "g": 1.0})
-    loaded_params, loaded_opt, epoch, meta = load_checkpoint(path)
+    save_checkpoint(path, params, velocity, epoch=17, meta={"a": 0.5, "g": 1.0})
+    loaded_params, loaded_velocity, epoch, meta = load_checkpoint(path)
     assert epoch == 17
     assert meta == {"a": 0.5, "g": 1.0}
     for w, lw in zip(params.W, loaded_params.W):
         assert np.array_equal(w, lw)
-    for v, lv in zip(opt.velocity, loaded_opt.velocity):
+    for v, lv in zip(velocity, loaded_velocity):
         assert np.array_equal(v, lv)
 
 
 def test_bytes_are_deterministic(params):
-    opt = OptimizerState.zeros_like(params)
-    b1 = checkpoint_bytes(params, opt, epoch=3, meta={"seed": 9})
-    b2 = checkpoint_bytes(params, opt, epoch=3, meta={"seed": 9})
+    velocity = [np.zeros_like(w) for w in params.W]
+    b1 = checkpoint_bytes(params, velocity, epoch=3, meta={"seed": 9})
+    b2 = checkpoint_bytes(params, velocity, epoch=3, meta={"seed": 9})
     assert b1 == b2
 
 
@@ -94,8 +93,25 @@ def test_unknown_version(tmp_path, params):
 )
 def test_inconsistent_shapes(tmp_path, weights, velocity, message):
     params = NetworkParams([np.zeros(s) for s in weights])
-    opt = OptimizerState([np.zeros(s) for s in velocity])
     path = tmp_path / "shapes.qckpt"
-    path.write_bytes(checkpoint_bytes(params, opt))
+    path.write_bytes(checkpoint_bytes(params, [np.zeros(s) for s in velocity]))
     with pytest.raises(CheckpointCorrupt, match=message):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize(
+    "array, index, value, name",
+    [
+        ("weights", 1, np.nan, "weight matrix 1"),
+        ("weights", 0, -np.inf, "weight matrix 0"),
+        ("velocity", 2, np.inf, "velocity matrix 2"),
+        ("velocity", 0, np.nan, "velocity matrix 0"),
+    ],
+)
+def test_non_finite_entry_is_refused(tmp_path, params, array, index, value, name):
+    velocity = [np.full_like(w, 0.25) for w in params.W]
+    (params.W if array == "weights" else velocity)[index][0, 1] = value
+    path = tmp_path / "nonfinite.qckpt"
+    save_checkpoint(path, params, velocity, epoch=1)
+    with pytest.raises(CheckpointCorrupt, match=f"{name} holds a NaN or infinite entry"):
         load_checkpoint(path)

@@ -1,7 +1,10 @@
 import json
 import math
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +17,7 @@ import qmlp.training
 from qmlp.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from qmlp.cli import build_parser, main
 from qmlp.config import (
+    _SCHEMA,
     DataConfig,
     apply_overrides,
     config_from_dict,
@@ -24,7 +28,14 @@ from qmlp.data import RawDataset
 from qmlp.inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
 from qmlp.network import NetworkParams, init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig
-from qmlp.sweep import CSV_HEADER, ResultCorrupt, load_datasets, run_training_job, write_sweep_csv
+from qmlp.sweep import (
+    CSV_HEADER,
+    ResultCorrupt,
+    ResultMismatch,
+    load_datasets,
+    run_training_job,
+    write_sweep_csv,
+)
 from qmlp.training import ConfigInvalid, Hyperparams, train
 
 from synthdigits import write_idx_pair
@@ -315,20 +326,20 @@ class TestTrainJob:
         from qmlp.checkpoint import load_checkpoint
 
         _, _, _, meta = load_checkpoint(ckpt)
-        assert meta["seed"] == 99
+        assert meta["hyper"]["seed"] == 99
 
     def test_checkpoint_holds_final_optimizer_state(self, tmp_path, small_idx_dir):
         cfg = load_config(write_desk_config(tmp_path, small_idx_dir, epochs=2))
         cfg = cfg.with_quantum(0.5, HALF_PI, seed=3)
-        expected = train(cfg.hyper, *load_datasets(cfg)).opt.velocity
+        expected = train(cfg.hyper, *load_datasets(cfg)).velocity
         blobs = []
         for name in ("run1", "run2"):
             run_training_job(cfg, tmp_path / name)
             blobs.append((tmp_path / name / "checkpoint.qckpt").read_bytes())
         assert blobs[0] == blobs[1]
-        _, opt, epoch, _ = load_checkpoint(tmp_path / "run1" / "checkpoint.qckpt")
+        _, velocity, epoch, _ = load_checkpoint(tmp_path / "run1" / "checkpoint.qckpt")
         assert epoch == 2
-        for v, e in zip(opt.velocity, expected):
+        for v, e in zip(velocity, expected):
             assert np.array_equal(v, e)
             assert np.any(v != 0.0)
         assert sorted(p.name for p in (tmp_path / "run1").iterdir()) == [
@@ -512,30 +523,107 @@ class TestTrainJob:
         assert err.startswith(f"error: {images}: images of 0x28 pixels")
         assert not fresh.exists()
 
+    JOB_CHANGES = [
+        (["quantum.a=0.5"], [("hyper.quantum.a", 0.0, 0.5)]),
+        (["quantum.g=pi/4"], [("hyper.quantum.g", HALF_PI, math.pi / 4)]),
+        (["training.seed=4"], [("hyper.seed", 3, 4)]),
+        (["training.epochs=3"], [("hyper.epochs", 1, 3)]),
+        (
+            ["training.learning_rate=0.5", "model.hidden_size=8"],
+            [("hyper.hidden_size", 16, 8), ("hyper.learning_rate", 0.01, 0.5)],
+        ),
+        (["training.batch_size=16"], [("hyper.batch_size", 32, 16)]),
+        (["training.bp_scale=2.0"], [("hyper.bp_scale", 1.0, 2.0)]),
+        (["training.val_size=16"], [("hyper.val_size", 32, 16)]),
+        (["inference.shots=5"], [("policy.shots", 3, 5)]),
+        (["inference.seed=6"], [("policy.seed", 5, 6)]),
+        (["data.subset_seed=8"], [("data.subset_seed", 7, 8)]),
+        (
+            ["data.val_labels={idx}/copy-labels"],
+            [("data.val_labels", "{idx}/t10k-labels-idx1-ubyte", "{idx}/copy-labels")],
+        ),
+    ]
+
     @pytest.mark.parametrize(
-        "override, recorded, asked",
-        [
-            ("quantum.a=0.5", "'a': 0.0", "'a': 0.5"),
-            ("quantum.g=pi/4", f"'g': {HALF_PI}", f"'g': {math.pi / 4}"),
-            ("training.seed=4", "'seed': 3", "'seed': 4"),
-            ("training.epochs=3", "'epochs': 1", "'epochs': 3"),
-        ],
+        "overrides, differences", JOB_CHANGES, ids=["+".join(o) for o, _ in JOB_CHANGES]
     )
     def test_finished_out_dir_answers_only_for_its_own_job(
-        self, override, recorded, asked, tmp_path, small_idx_dir, capsys
+        self, overrides, differences, tmp_path, small_idx_dir, capsys
     ):
+        labels = small_idx_dir / "t10k-labels-idx1-ubyte"
+        (small_idx_dir / "copy-labels").write_bytes(labels.read_bytes())  # same data, new path
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
         out = tmp_path / "out"
         assert main(["train", "--config", str(cfg_path)]) == 0
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         capsys.readouterr()
-        assert main(["train", "--config", str(cfg_path), "--set", override]) == 1
+        argv = ["train", "--config", str(cfg_path)]
+        for override in overrides:
+            argv += ["--set", override.format(idx=small_idx_dir)]
+        assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {out / 'result.json'}: records the job ")
-        assert recorded in err and asked in err
+        assert err.startswith(f"error: {out / 'result.json'}: records another job (")
+        named = [
+            f"job.{setting}: recorded {recorded!r}, asked {asked!r}".format(idx=small_idx_dir)
+            for setting, recorded, asked in differences
+        ]
+        assert f"({'; '.join(named)});" in err  # each differing setting, and only those
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
         assert main(["train", "--config", str(cfg_path)]) == 0  # the same job reuses it
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_result_without_a_job_record_is_refused(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        out = tmp_path / "out"
+        assert main(["train", "--config", str(cfg_path)]) == 0
+        result = json.loads((out / "result.json").read_text())
+        del result["job"]  # as written before result.json named the whole job
+        (out / "result.json").write_text(json.dumps(result, sort_keys=True) + "\n")
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(ResultMismatch):
+            run_training_job(load_config(cfg_path), out)
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out / 'result.json'}: holds no job record")
+        assert "delete it to re-run this job" in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_checkpoint_meta_is_the_job_record(self, tmp_path, small_idx_dir):
+        cfg = load_config(write_desk_config(tmp_path, small_idx_dir))
+        run_training_job(cfg, tmp_path / "job")
+        job = json.loads((tmp_path / "job" / "result.json").read_text())["job"]
+        assert load_checkpoint(tmp_path / "job" / "checkpoint.qckpt")[3] == job
+        # every config key but the sweep grid and out_dir, under its dataclass's field name
+        objects = {"data": cfg.data, "model": cfg.hyper, "training": cfg.hyper,
+                   "quantum": cfg.hyper.quantum, "inference": cfg.policy}
+        records = {"data": job["data"], "model": job["hyper"], "training": job["hyper"],
+                   "quantum": job["hyper"]["quantum"], "inference": job["policy"]}
+        settings = [key.split(".") for key in _SCHEMA if key.split(".")[0] in records]
+        assert len(settings) == 20
+        for name, key in settings:
+            assert records[name][key] == getattr(objects[name], key)
+        assert sorted(job) == ["data", "hyper", "numerics", "policy"] and job["numerics"] == 1
+        leaves = len(job["data"]) + len(job["hyper"]) - 1 + len(job["hyper"]["quantum"])
+        assert leaves + len(job["policy"]) == 20  # and nothing else
+
+    def test_diverging_run_stops_with_a_named_error(self, tmp_path, small_idx_dir):
+        # numpy warns of the overflow before the loss turns non-finite, and the suite treats
+        # RuntimeWarning as an error, so the CLI runs in its own interpreter
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        src = str(Path(qmlp.cli.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "qmlp.cli", "train", "--config", str(cfg_path),
+                "--set", "training.learning_rate=1e308"]
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=300)
+        assert proc.returncode == 1
+        assert re.fullmatch(r"error: epoch 0, batch \d+: the loss is (inf|nan)",
+                            proc.stderr.splitlines()[-1])
+        out = tmp_path / "out"
+        assert sorted(p.name for p in out.iterdir()) == ["metrics.jsonl"]
+        for line in (out / "metrics.jsonl").read_text().splitlines():
+            json.loads(line, parse_constant=lambda c: pytest.fail(f"{c} in metrics.jsonl"))
 
 
 class TestSweep:
@@ -650,6 +738,23 @@ class TestSweep:
                 for p in (out / "cells").iterdir()
             }
         assert outs["t1"] == outs["t2"]
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_rerun_with_another_setting_changes_no_byte(
+        self, threads, tmp_path, small_idx_dir, capsys
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg_path), "--threads", threads,
+                "--set", "sweep.a_values=[0.0, 0.4]", "--set", "sweep.seeds=[3]"]
+        assert main(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv + ["--set", "training.momentum=0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "result.json: records another job (" in err
+        assert "job.hyper.momentum: recorded 0.9, asked 0.5" in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     def test_csv_columns_follow_the_header(self, tmp_path):
         cols = CSV_HEADER.split(",")

@@ -8,7 +8,6 @@ from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
 from qmlp.training import (
     ConfigInvalid,
     Hyperparams,
-    OptimizerState,
     sgd_momentum_step,
     train,
 )
@@ -44,17 +43,17 @@ def tiny_data():
 class TestSgdMomentumStep:
     def setup_method(self):
         self.params = NetworkParams([np.array([[1.0, 2.0]]), np.array([[0.5]])])
-        self.opt = OptimizerState.zeros_like(self.params)
+        self.velocity = [np.zeros_like(w) for w in self.params.W]
 
     def test_zero_momentum_is_plain_sgd(self):
         grads = [np.array([[0.2, -0.4]]), np.array([[1.0]])]
-        sgd_momentum_step(self.params, self.opt, grads, lr=0.1, momentum=0.0)
+        sgd_momentum_step(self.params, self.velocity, grads, lr=0.1, momentum=0.0)
         assert np.allclose(self.params.W[0], [[1.0 - 0.02, 2.0 + 0.04]])
         assert np.allclose(self.params.W[1], [[0.5 - 0.1]])
 
     def test_zero_grads_zero_velocity_is_identity(self):
         grads = [np.zeros((1, 2)), np.zeros((1, 1))]
-        sgd_momentum_step(self.params, self.opt, grads, lr=0.1, momentum=0.9)
+        sgd_momentum_step(self.params, self.velocity, grads, lr=0.1, momentum=0.9)
         assert np.allclose(self.params.W[0], [[1.0, 2.0]])
         assert np.allclose(self.params.W[1], [[0.5]])
 
@@ -63,15 +62,15 @@ class TestSgdMomentumStep:
         g = [np.array([[1.0, -2.0]]), np.array([[3.0]])]
         lr, mu = 0.05, 0.7
         w0 = [w.copy() for w in self.params.W]
-        sgd_momentum_step(self.params, self.opt, g, lr, mu)
-        sgd_momentum_step(self.params, self.opt, g, lr, mu)
+        sgd_momentum_step(self.params, self.velocity, g, lr, mu)
+        sgd_momentum_step(self.params, self.velocity, g, lr, mu)
         for k in range(2):
             assert np.allclose(self.params.W[k], w0[k] - lr * g[k] * (2 + mu))
 
     def test_shape_mismatch(self):
         with pytest.raises(Exception):
             sgd_momentum_step(
-                self.params, self.opt, [np.zeros((2, 2)), np.zeros((1, 1))], 0.1, 0.9
+                self.params, self.velocity, [np.zeros((2, 2)), np.zeros((1, 1))], 0.1, 0.9
             )
 
 
@@ -154,17 +153,35 @@ class TestTrain:
         train_set, val_set = tiny_data
         after_step = []
 
-        def recording_step(params, opt, grads, lr, momentum):
-            out = sgd_momentum_step(params, opt, grads, lr, momentum)
-            after_step.append([v.copy() for v in opt.velocity])
-            return out
+        def recording_step(params, velocity, grads, lr, momentum):
+            sgd_momentum_step(params, velocity, grads, lr, momentum)
+            after_step.append([v.copy() for v in velocity])
 
         monkeypatch.setattr(training, "sgd_momentum_step", recording_step)
         metrics = train(tiny_hyper(quantum=QuantumConfig(a=0.5)), train_set, val_set)
         assert len(after_step) == 2 * 4
-        for v, last in zip(metrics.opt.velocity, after_step[-1]):
+        for v, last in zip(metrics.velocity, after_step[-1]):
             assert np.array_equal(v, last)
             assert np.any(v != 0.0)
+
+    @pytest.mark.parametrize(
+        "poisoned_step, message",
+        [(2, "epoch 0, batch 2: the loss is nan"),
+         (8, "epoch 1, batch 3: the final weights are not finite")],
+    )
+    def test_non_finite_run_raises_diverged(self, poisoned_step, message, tiny_data, monkeypatch):
+        train_set, val_set = tiny_data
+        steps = []
+
+        def poisoning_step(params, velocity, grads, lr, momentum):
+            sgd_momentum_step(params, velocity, grads, lr, momentum)
+            steps.append(1)
+            if len(steps) == poisoned_step:
+                params.W[-1][0, 0] = np.nan
+
+        monkeypatch.setattr(training, "sgd_momentum_step", poisoning_step)
+        with pytest.raises(training.Diverged, match=message):
+            train(tiny_hyper(), train_set, val_set)
 
     def test_metrics_shape_and_ranges(self, tiny_data):
         train_set, val_set = tiny_data
