@@ -13,8 +13,12 @@ holds {"epoch": int, "meta": {...}, "weights": [[rows, cols], ...],
 "velocity": [[rows, cols], ...]}. The payload is the weight matrices in
 order followed by the velocity matrices, each C-order float64
 little-endian. Identical inputs therefore produce identical bytes, which
-the reproducibility tests rely on. A file holding a NaN or infinite entry
-does not load.
+the reproducibility tests rely on. The library computes in float32:
+saving widens each entry exactly, and load_checkpoint narrows the
+payload back to float32, so a float32 save -> load -> save round-trip is
+byte-identical, and a file written by a float64 run loads rounded to
+float32. A file holding a NaN or infinite entry, or one beyond the float32
+range, does not load.
 """
 
 from __future__ import annotations
@@ -74,7 +78,7 @@ def save_checkpoint(path, params, velocity=None, epoch=0, meta=None):
 
 
 def load_checkpoint(path):
-    """Return (params, velocity, epoch, meta) or raise CheckpointCorrupt."""
+    """Return (params, velocity, epoch, meta), the arrays float32, or raise CheckpointCorrupt."""
     with open(path, "rb") as fh:
         data = fh.read()
     if len(data) < 16 or data[:8] != MAGIC:
@@ -104,9 +108,9 @@ def load_checkpoint(path):
         count = math.prod(shape)  # a Python int: np.prod would wrap a huge shape around int64
         if len(data) < offset + 8 * count:
             raise CheckpointCorrupt(f"{path}: truncated payload")
-        arrays.append(
-            np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        )
+        wide = np.frombuffer(data, dtype="<f8", count=count, offset=offset).reshape(shape)
+        with np.errstate(over="ignore"):  # an entry beyond float32's range becomes inf
+            arrays.append(wide.astype(np.float32))
         offset += 8 * count
     if offset != len(data):
         raise CheckpointCorrupt(f"{path}: {len(data) - offset} trailing bytes")
@@ -114,5 +118,7 @@ def load_checkpoint(path):
     for i, arr in enumerate(arrays):
         if not np.isfinite(arr).all():
             name = f"weight matrix {i}" if i < nw else f"velocity matrix {i - nw}"
-            raise CheckpointCorrupt(f"{path}: {name} holds a NaN or infinite entry")
+            raise CheckpointCorrupt(
+                f"{path}: {name} holds a NaN or infinite entry, or one beyond float32's range"
+            )
     return NetworkParams(arrays[:nw]), arrays[nw:], epoch, meta

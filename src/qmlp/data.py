@@ -3,10 +3,12 @@
 IDX files are parsed bit-exactly: 4-byte big-endian magic (0x00000803 for
 images, 0x00000801 for labels), big-endian 4-byte dimension sizes, then the
 raw payload bytes. Images are kept as uint8 grids; `encode_dataset`
-flattens each row-major and maps pixels to floats in [0, 1] by dividing
-by 255. This package never recentres inputs to [-1, 1]: the choice only
-rescales the effective regime of the stretch parameter `a` in the first
-layer, but it must be held fixed for sweep results to be comparable.
+flattens each row-major and maps pixels to float32 in [0, 1] by dividing
+by 255 in float32; the kernels compute in the dtype of their inputs, so
+this (with the float32 weights) makes a run's arithmetic float32. This
+package never recentres inputs to [-1, 1]: the choice only rescales the
+effective regime of the stretch parameter `a` in the first layer, but it
+must be held fixed for sweep results to be comparable.
 """
 
 from __future__ import annotations
@@ -63,7 +65,7 @@ class RawDataset:
 
 @dataclass
 class EncodedDataset:
-    """Flattened inputs X (n, M) float64 in [0, 1] and labels y (n,) int64."""
+    """Flattened inputs X (n, M) float32 in [0, 1] and labels y (n,) int64."""
 
     X: np.ndarray
     y: np.ndarray
@@ -163,10 +165,10 @@ def subset(dataset: RawDataset, n: int, seed: int) -> RawDataset:
 
 
 def encode_dataset(dataset: RawDataset) -> EncodedDataset:
-    """Flatten each image row-major and scale to [0, 1] (pixel / 255)."""
+    """Flatten each image row-major and scale to float32 in [0, 1] (pixel / 255)."""
     n = dataset.count
     m = int(np.prod(dataset.images.shape[1:]))
-    X = dataset.images.reshape(n, m).astype(np.float64) / 255.0
+    X = dataset.images.reshape(n, m).astype(np.float32) / np.float32(255)
     return EncodedDataset(X=X, y=dataset.labels.astype(np.int64))
 
 

@@ -6,6 +6,10 @@ classical-limit equality tests); the output head is linear. Gradients use
 the clipped straight-through estimator: the sign activation is treated as
 hard-tanh when differentiating, so the activation derivative is 1 inside
 |z| <= bp_scale and 0 outside.
+
+Weights are float32 (init_network_params casts its draws). Every kernel
+computes in the dtype of its inputs, so float64 weights and inputs give
+float64 traces and gradients.
 """
 
 from __future__ import annotations
@@ -62,22 +66,29 @@ def init_network_params(
     output_size: int,
     rng: np.random.Generator,
 ) -> NetworkParams:
-    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per matrix.
+    """Uniform init in [-1/sqrt(fan_in), +1/sqrt(fan_in)] per matrix, as float32.
 
-    With +-1 activations this puts preactivations at order 1, which keeps
-    the interesting stretch regime a ~ [0.1, 1] active.
+    The float64 draws are cast to float32. With +-1 activations this puts
+    preactivations at order 1, which keeps the interesting stretch regime
+    a ~ [0.1, 1] active.
     """
     widths = [input_size] + [hidden_size] * hidden_layers + [output_size]
     W = []
     for fan_in, fan_out in zip(widths[:-1], widths[1:]):
         bound = 1.0 / np.sqrt(fan_in)
-        W.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
+        W.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)).astype(np.float32))
     return NetworkParams(W)
 
 
+def pm1(positive, dtype):
+    """+1 where `positive` holds, else -1, as `dtype`."""
+    return np.where(positive, dtype.type(1), dtype.type(-1))
+
+
 def sign(x):
-    """+1 if x >= 0 else -1, elementwise."""
-    return np.where(np.asarray(x) >= 0, 1.0, -1.0)
+    """+1 if x >= 0 else -1, elementwise, in the dtype of x."""
+    x = np.asarray(x)
+    return pm1(x >= 0, x.dtype)
 
 
 def htanh(x):
@@ -152,7 +163,7 @@ def ste_backward_batch(
     grads[L] = (dF @ trace.D[L].T) / B
     err = params.W[L].T @ dF
     for k in range(L, 0, -1):
-        dphi = (np.abs(trace.Z[k - 1]) <= bp_scale) / bp_scale
+        dphi = (np.abs(trace.Z[k - 1]) <= bp_scale).astype(err.dtype) / bp_scale
         delta = err * dphi
         grads[k - 1] = (delta @ trace.D[k - 1].T) / B
         if k > 1:

@@ -29,7 +29,8 @@ Rotating the pole gives <Z> = t * sin(pi/2 * phi_a(z)), and the outcome is
 +1 with probability (1 + <Z> sin g) / 2. After a projective measurement the
 qubit is |d>, so t = 1. At a = 0 the rotation maps a pole to a pole and the
 weak measurement leaves it there, so t = <Z> * d. As sin(+-pi/2) = +-1
-exactly, (a=0, g=pi/2) reproduces the classical binarized network
+exactly (in float32 too, where pi/2 rounds up to an angle whose sine rounds
+to 1), (a=0, g=pi/2) reproduces the classical binarized network
 bit-for-bit. Only a > 0 with g < pi/2 carries amplitudes through ry_update
 and weak_update.
 """
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .network import (
-    BatchTrace, ConfigInvalid, NetworkParams, ShapeMismatch, check_features, htanh, sign
+    BatchTrace, ConfigInvalid, NetworkParams, ShapeMismatch, check_features, htanh, pm1, sign
 )
 
 HALF_PI = np.pi / 2
@@ -74,7 +75,7 @@ def phi_a(x, a: float):
     """Stretched activation htanh(x / a); the a -> 0 limit is sign(x)."""
     if a == 0.0:
         return sign(x)
-    return htanh(np.asarray(x, dtype=np.float64) / a)
+    return htanh(np.asarray(x) / a)
 
 
 def ry_update(alpha, beta, theta):
@@ -85,9 +86,11 @@ def ry_update(alpha, beta, theta):
     exactly on the weak-measurement path. sin(0) = 0, cos(0) = 1 and
     sin(+-pi/2) = +-1 are exact in floating point; cos(+-pi/2) = 6.1e-17 is
     the one inexact value, so it is pinned to 0. The same formula then gives
-    exactly (alpha, beta), (-beta, alpha) and (beta, -alpha).
+    exactly (alpha, beta), (-beta, alpha) and (beta, -alpha). In float32,
+    +-pi and +-pi/2 are the roundings of those angles, for which the same
+    three facts hold.
     """
-    theta = np.asarray(theta, dtype=np.float64)
+    theta = np.asarray(theta)
     c = np.where(np.abs(theta) == np.pi, 0.0, np.cos(theta / 2))
     s = np.sin(theta / 2)
     return c * alpha - s * beta, s * alpha + c * beta
@@ -96,9 +99,9 @@ def ry_update(alpha, beta, theta):
 def projective_update(alpha, beta, u):
     """Projectively measure: d = +1 where u < alpha^2, post-state the basis state."""
     p_plus = np.asarray(alpha) ** 2
-    d = np.where(np.asarray(u) < p_plus, 1.0, -1.0)
-    out_a = np.where(d > 0, 1.0, 0.0)
-    out_b = np.where(d > 0, 0.0, 1.0)
+    d = pm1(np.asarray(u) < p_plus, p_plus.dtype)
+    out_a = (d > 0).astype(d.dtype)
+    out_b = (d < 0).astype(d.dtype)
     return d, out_a, out_b
 
 
@@ -108,13 +111,13 @@ def weak_update(alpha, beta, sin_g, u):
     Outcome d = +-1 with probability (1 + d <z> sin_g) / 2 where
     <z> = alpha^2 - beta^2; the surviving amplitudes are rescaled by
     sqrt((1 +- d sin_g) / (1 + d <z> sin_g)). The denominator is twice the
-    probability of the sampled outcome, so it is strictly positive.
+    probability of the sampled outcome, so it is strictly positive. The
+    arithmetic is in the dtype of the amplitudes; sin_g must not be wider.
     """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    beta = np.asarray(beta, dtype=np.float64)
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
     z = alpha * alpha - beta * beta
     p_plus = 0.5 * (1.0 + z * sin_g)
-    d = np.where(np.asarray(u) < p_plus, 1.0, -1.0)
+    d = pm1(np.asarray(u) < p_plus, p_plus.dtype)
     denom = 1.0 + d * z * sin_g
     out_a = alpha * np.sqrt((1.0 + d * sin_g) / denom)
     out_b = beta * np.sqrt((1.0 - d * sin_g) / denom)
@@ -167,7 +170,9 @@ def quantum_forward_batch(
     (see the module docstring); otherwise the amplitudes go through ry_update
     and weak_update. Column s draws L * n uniforms from
     sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
-    activations do not depend on the batch it is in.
+    activations do not depend on the batch it is in. The draws, like every
+    array of the pass, are in the dtype of W[0] @ D0: float32 for float32
+    weights and inputs.
 
     `first` is first_layer(params, D0, cfg), computed here when None. A
     caller that runs several passes over the same D0 and cfg may compute it
@@ -180,21 +185,22 @@ def quantum_forward_batch(
     B = D0.shape[1]
     if len(sample_rngs) != B:
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
-    sin_g = np.sin(cfg.g)
+    dtype = np.result_type(params.W[0], D0)
+    sin_g = dtype.type(np.sin(cfg.g))  # np.sin returns float64, which would widen the pass
     prev = 1.0  # t = 1 after a projective measurement; the other paths set prev per layer
     Z_list, D_list = [], [D0]
     if L:
         n = params.W[0].shape[0]
-        U = np.empty((L, n, B))
+        U = np.empty((L, n, B), dtype=dtype)
         for s, rng in enumerate(sample_rngs):
-            U[:, :, s] = rng.random((L, n))
+            U[:, :, s] = rng.random((L, n), dtype=dtype)
         Z, state = first_layer(params, D0, cfg) if first is None else first
     for k in range(1, L + 1):
         if k > 1:  # rotate by the angle the previous outcomes give
             Z = params.W[k - 1] @ D_list[k - 1]
             state = _rotate(Z, cfg, prev, state)
         if cfg.on_poles:  # state is <Z>
-            D = np.where(U[k - 1] < 0.5 * (1.0 + state * sin_g), 1.0, -1.0)
+            D = pm1(U[k - 1] < 0.5 * (1.0 + state * sin_g), dtype)
             if cfg.a == 0.0:  # the pole did not move; at g = pi/2 this keeps t = 1
                 prev = state * D
         else:  # state is (alpha, beta)

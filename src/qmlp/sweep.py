@@ -14,7 +14,8 @@ its config or data touches no file. A cell whose result.json already
 exists is skipped wholesale, so re-running a finished sweep rewrites
 nothing and a crashed sweep resumes where it stopped; a result.json that
 does not parse raises ResultCorrupt, and one whose job record is not the
-asked job's, or that holds none, raises ResultMismatch. Cells are
+asked job's, or that holds none, raises ResultMismatch; a sweep checks
+every cell's result.json before it trains any cell. Cells are
 independent, which is what makes --threads > 1 safe and result-invariant.
 """
 
@@ -36,7 +37,7 @@ from .rng import mix64
 from .training import check_datasets, train, training_error
 
 CSV_HEADER = "a,g,seed,final_val_error,final_train_error,best_val_error,wall_time_s"
-NUMERICS = 1  # the version of the arithmetic behind a job's artifacts
+NUMERICS = 2  # the version of the arithmetic behind a job's artifacts; 2 is float32
 
 
 class ResultCorrupt(QmlpError):
@@ -78,29 +79,46 @@ def _settings(value, name="job") -> dict:
     return {k: v for key, sub in value.items() for k, v in _settings(sub, f"{name}.{key}").items()}
 
 
+def _job(cfg: RunConfig) -> dict:
+    """The job record: every setting of cfg but the sweep grid and out_dir, and NUMERICS."""
+    return {"data": asdict(cfg.data), "hyper": asdict(cfg.hyper), "policy": asdict(cfg.policy),
+            "numerics": NUMERICS}
+
+
+def _finished_result(result_path: Path, job: dict):
+    """The result in result_path if it records `job`, or None if there is no such file.
+
+    Raises ResultCorrupt if it does not parse, ResultMismatch if it records
+    another job or no job record.
+    """
+    if not result_path.exists():
+        return None
+    try:
+        result = json.loads(result_path.read_text())
+        recorded = result.get("job")
+    except (ValueError, AttributeError) as exc:
+        raise ResultCorrupt(
+            f"{result_path}: unreadable ({exc!r}); delete it to re-run this job"
+        ) from exc
+    if not isinstance(recorded, dict):
+        raise ResultMismatch(f"{result_path}: holds no job record, so its job cannot be "
+                             "checked; delete it to re-run this job")
+    if recorded != job:
+        old, new = _settings(recorded), _settings(job)
+        diff = "; ".join(f"{k}: recorded {old.get(k)!r}, asked {new.get(k)!r}"
+                         for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k))
+        raise ResultMismatch(f"{result_path}: records another job ({diff}); "
+                             "delete it or choose another output directory")
+    return result
+
+
 def run_training_job(cfg: RunConfig, out_dir) -> dict:
     """Train one model under cfg.hyper and write its artifacts to out_dir."""
     out_dir = Path(out_dir)
     result_path = out_dir / "result.json"
-    job = {"data": asdict(cfg.data), "hyper": asdict(cfg.hyper), "policy": asdict(cfg.policy),
-           "numerics": NUMERICS}
-    if result_path.exists():
-        try:
-            result = json.loads(result_path.read_text())
-            recorded = result.get("job")
-        except (ValueError, AttributeError) as exc:
-            raise ResultCorrupt(
-                f"{result_path}: unreadable ({exc!r}); delete it to re-run this job"
-            ) from exc
-        if not isinstance(recorded, dict):
-            raise ResultMismatch(f"{result_path}: holds no job record, so its job cannot be "
-                                 "checked; delete it to re-run this job")
-        if recorded != job:
-            old, new = _settings(recorded), _settings(job)
-            diff = "; ".join(f"{k}: recorded {old.get(k)!r}, asked {new.get(k)!r}"
-                             for k in sorted(old.keys() | new.keys()) if old.get(k) != new.get(k))
-            raise ResultMismatch(f"{result_path}: records another job ({diff}); "
-                                 "delete it or choose another output directory")
+    job = _job(cfg)
+    result = _finished_result(result_path, job)
+    if result is not None:
         return result
     train_set, val_set = load_datasets(cfg)
     check_datasets(train_set, val_set)  # a refused job leaves out_dir as it was
@@ -152,9 +170,16 @@ def cell_dir_name(a: float, g: float, seed: int) -> str:
 
 
 def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
-    """Run (a, g, seed) cells under out_dir/cells/, possibly in parallel."""
+    """Run (a, g, seed) cells under out_dir/cells/, possibly in parallel.
+
+    Every finished cell's result.json is checked against its job before any
+    cell trains, so a sweep re-run under another job stops with every byte
+    unchanged instead of mixing two jobs' cells.
+    """
     cfgs = [cfg.with_quantum(a, g, seed) for a, g, seed in cells]
     dirs = [Path(out_dir) / "cells" / cell_dir_name(a, g, seed) for a, g, seed in cells]
+    for cell_cfg, cell_dir in zip(cfgs, dirs):
+        _finished_result(cell_dir / "result.json", _job(cell_cfg))
     if threads > 1 and len(cfgs) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(run_training_job, cfgs, dirs))

@@ -9,6 +9,10 @@ classical heavy-ball momentum, v <- momentum*v - lr*grad, W <- W + v.
 Per-epoch training and validation errors are measured with deterministic
 classical-limit forward passes; multi-shot evaluation of every epoch would be
 expensive and is reserved for the final model.
+
+The arithmetic is float32, the dtype of the encoded inputs and the initial
+weights; the velocity follows the weights. Only the epoch's loss is summed
+in float64.
 """
 
 from __future__ import annotations
@@ -165,7 +169,7 @@ def train(
                 rngs = [substream(hyper.seed, FORWARD, epoch, batch, s) for s in range(len(idx))]
                 trace = quantum_forward_batch(params, X.T, hyper.quantum, rngs)
             losses, dF = softmax_cross_entropy_batch(trace.F, y)
-            loss = float(losses.sum())
+            loss = float(losses.sum(dtype=np.float64))
             if not np.isfinite(loss):
                 raise Diverged(f"epoch {epoch}, batch {batch}: the loss is {loss}")
             grads = ste_backward_batch(params, trace, dF, hyper.bp_scale)

@@ -28,6 +28,16 @@ from qmlp.network import BatchTrace, NetworkParams, ShapeMismatch, htanh, sign
 from qmlp.quantum import HALF_PI, phi_a, projective_update, ry_update, weak_update
 from qmlp.rng import EVAL, substream
 
+def as_float64(params: NetworkParams) -> NetworkParams:
+    """A float64 copy of library-made (float32) params.
+
+    The kernels compute in the dtype of their inputs, so on these params and
+    float64 inputs they run in float64, the precision the 1e-12 oracle
+    checks and the finite-difference checks need.
+    """
+    return NetworkParams([w.astype(np.float64) for w in params.W])
+
+
 # --- classical network, one sample ------------------------------------------
 
 

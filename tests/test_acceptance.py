@@ -30,7 +30,7 @@ from qmlp.sweep import load_datasets, run_cells, run_training_job, write_sweep_c
 from qmlp.training import Hyperparams
 
 from conftest import mnist_dir
-from oracles import relaxed_forward, weak_measure_oracle
+from oracles import as_float64, relaxed_forward, weak_measure_oracle
 from synthdigits import write_idx_pair
 from test_network import finite_difference_grads, relative_error, ste_backward_one
 
@@ -44,7 +44,11 @@ def _report(criterion: int, ok: bool, detail: str):
 
 
 def test_criterion_1_classical_limit_equality():
-    """quantum_forward_batch(a=0, g=pi/2) is bitwise classical for 1000 triples."""
+    """quantum_forward_batch(a=0, g=pi/2) is bitwise classical for 1000 triples.
+
+    Each triple runs twice: on float64 inputs (a float64 pass) and on the
+    library's float32 inputs and weights (a float32 pass).
+    """
     rng = np.random.default_rng(1001)
     cfg = QuantumConfig(a=0.0, g=HALF_PI)
     checked = 0
@@ -53,15 +57,17 @@ def test_criterion_1_classical_limit_equality():
         params = init_network_params(6, 5, layers, 3, rng)
         x = rng.uniform(0, 1, size=6)
         seed = int(rng.integers(0, 1 << 63))
-        q = quantum_forward_batch(params, x[:, None], cfg, [np.random.default_rng(seed)])
-        c = classical_forward_batch(params, x[:, None])
-        for dq, dc in zip(q.D, c.D):
-            assert np.array_equal(dq, dc)
-        for zq, zc in zip(q.Z, c.Z):
-            assert np.array_equal(zq, zc)
-        assert np.array_equal(q.F, c.F)
+        for x_in, dtype in ((x, np.float64), (x.astype(np.float32), np.float32)):
+            q = quantum_forward_batch(params, x_in[:, None], cfg, [np.random.default_rng(seed)])
+            c = classical_forward_batch(params, x_in[:, None])
+            for dq, dc in zip(q.D, c.D):
+                assert np.array_equal(dq, dc)
+            for zq, zc in zip(q.Z, c.Z):
+                assert np.array_equal(zq, zc)
+            assert np.array_equal(q.F, c.F) and q.F.dtype == c.F.dtype == dtype
         checked += 1
-    _report(1, checked == 1000, f"{checked}/1000 random triples bitwise-identical (L in 1..3)")
+    _report(1, checked == 1000,
+            f"{checked}/1000 random triples bitwise-identical in float64 and float32 (L in 1..3)")
 
 
 def test_criterion_2_measurement_statistics():
@@ -144,7 +150,7 @@ def test_criterion_4_gradient_check():
     rng = np.random.default_rng(1004)
     worst = 0.0
     for _ in range(20):
-        params = init_network_params(8, 8, 2, 4, rng)
+        params = as_float64(init_network_params(8, 8, 2, 4, rng))
         x = rng.uniform(0, 1, size=8)
         label = int(rng.integers(0, 4))
         analytic = ste_backward_one(params, relaxed_forward(params, x), label)

@@ -115,3 +115,41 @@ def test_non_finite_entry_is_refused(tmp_path, params, array, index, value, name
     save_checkpoint(path, params, velocity, epoch=1)
     with pytest.raises(CheckpointCorrupt, match=f"{name} holds a NaN or infinite entry"):
         load_checkpoint(path)
+
+
+def test_float32_save_load_save_is_byte_identical(tmp_path, params):
+    assert {w.dtype for w in params.W} == {np.dtype(np.float32)}
+    velocity = [np.full_like(w, 0.1) for w in params.W]  # 0.1 is inexact in float32
+    path = tmp_path / "model.qckpt"
+    save_checkpoint(path, params, velocity, epoch=4, meta={"numerics": 2})
+    loaded, loaded_velocity, epoch, meta = load_checkpoint(path)
+    assert {a.dtype for a in loaded.W + loaded_velocity} == {np.dtype(np.float32)}
+    assert checkpoint_bytes(loaded, loaded_velocity, epoch, meta) == path.read_bytes()
+
+
+def test_float64_payload_loads_narrowed_to_float32(tmp_path):
+    # the bytes a float64 run wrote, laid out by hand from the documented format
+    rng = np.random.default_rng(3)
+    weights = [rng.uniform(-1, 1, size=(4, 6)), rng.uniform(-1, 1, size=(3, 4))]
+    header = {"epoch": 2, "meta": {"a": 0.0, "g": 1.0, "seed": 1},
+              "weights": [[4, 6], [3, 4]], "velocity": [[4, 6], [3, 4]]}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    payload = b"".join(w.astype("<f8").tobytes() for w in weights + weights)
+    path = tmp_path / "float64.qckpt"
+    path.write_bytes(MAGIC + struct.pack("<II", 1, len(blob)) + blob + payload)
+    loaded, velocity, epoch, meta = load_checkpoint(path)
+    for w, lw, lv in zip(weights, loaded.W, velocity):
+        assert lw.dtype == lv.dtype == np.float32
+        assert np.array_equal(lw, w.astype(np.float32))
+        assert np.array_equal(lv, w.astype(np.float32))
+    assert (epoch, meta) == (2, header["meta"])
+
+
+def test_entry_beyond_float32_range_is_refused(tmp_path, params):
+    W = [w.astype(np.float64) for w in params.W]
+    W[1][2, 0] = -1e39  # finite in the float64 payload, infinite as float32
+    path = tmp_path / "wide.qckpt"
+    save_checkpoint(path, NetworkParams(W), epoch=1)
+    with pytest.raises(CheckpointCorrupt, match="weight matrix 1 holds a NaN or infinite entry, "
+                                                "or one beyond float32's range"):
+        load_checkpoint(path)

@@ -589,6 +589,24 @@ class TestTrainJob:
         assert "delete it to re-run this job" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_numerics_1_result_is_refused(self, command, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        out = tmp_path / "out"
+        argv = [command, "--config", str(cfg_path), "--set", "sweep.a_values=[0.0]"]
+        assert main(argv) == 0
+        (path,) = out.rglob("result.json")
+        result = json.loads(path.read_text())
+        result["job"]["numerics"] = 1  # as a float64 run recorded its job
+        path.write_text(json.dumps(result, sort_keys=True) + "\n")
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {path}: records another job (job.numerics: recorded 1, asked 2); "
+                       "delete it or choose another output directory\n")
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_checkpoint_meta_is_the_job_record(self, tmp_path, small_idx_dir):
         cfg = load_config(write_desk_config(tmp_path, small_idx_dir))
         run_training_job(cfg, tmp_path / "job")
@@ -603,7 +621,7 @@ class TestTrainJob:
         assert len(settings) == 20
         for name, key in settings:
             assert records[name][key] == getattr(objects[name], key)
-        assert sorted(job) == ["data", "hyper", "numerics", "policy"] and job["numerics"] == 1
+        assert sorted(job) == ["data", "hyper", "numerics", "policy"] and job["numerics"] == 2
         leaves = len(job["data"]) + len(job["hyper"]) - 1 + len(job["hyper"]["quantum"])
         assert leaves + len(job["policy"]) == 20  # and nothing else
 
@@ -756,6 +774,24 @@ class TestSweep:
         assert "job.hyper.momentum: recorded 0.9, asked 0.5" in err
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
+    def test_partly_finished_sweep_under_another_job_writes_nothing(
+        self, tmp_path, small_idx_dir, capsys
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg_path),
+                "--set", "sweep.a_values=[0.0, 0.4]", "--set", "sweep.seeds=[3]"]
+        assert main(argv) == 0
+        cells = sorted((out / "cells").iterdir())
+        (cells[0] / "result.json").unlink()  # as a sweep killed inside its first cell leaves it
+        before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+        capsys.readouterr()
+        assert main(argv + ["--set", "training.momentum=0.5"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {cells[1] / 'result.json'}: records another job (")
+        assert "job.hyper.momentum: recorded 0.9, asked 0.5" in err
+        assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
     def test_csv_columns_follow_the_header(self, tmp_path):
         cols = CSV_HEADER.split(",")
         results = [
@@ -770,6 +806,36 @@ class TestSweep:
 
 
 class TestEval:
+    def test_float64_checkpoint_evaluates_as_float32(self, tmp_path, small_idx_dir, capsys,
+                                                     monkeypatch):
+        # a checkpoint as a float64 run wrote it: float64 weights, a numerics-1 job record
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        cfg = load_config(cfg_path, ["quantum.a=0.5"])
+        val_set = load_datasets(cfg)[1]
+        rng = np.random.default_rng(40)
+        W = [rng.uniform(-0.1, 0.1, size=(16, val_set.X.shape[1])),
+             rng.uniform(-0.3, 0.3, size=(10, 16))]
+        ckpt = tmp_path / "float64.qckpt"
+        save_checkpoint(ckpt, NetworkParams(W), epoch=1, meta={"numerics": 1})
+        loaded = []
+
+        def recording_load(path):
+            loaded.append(load_checkpoint(path))
+            return loaded[-1]
+
+        monkeypatch.setattr(qmlp.cli, "load_checkpoint", recording_load)
+        argv = ["eval", "--config", str(cfg_path), "--set", "quantum.a=0.5",
+                "--checkpoint", str(ckpt)]
+        assert main(argv) == 0
+        ((params, velocity, _, _),) = loaded
+        for w, lw in zip(W, params.W):
+            assert lw.dtype == np.float32 and np.array_equal(lw, w.astype(np.float32))
+        narrowed = NetworkParams([w.astype(np.float32) for w in W])
+        det = evaluate(narrowed, val_set, InferencePolicy.deterministic())
+        multi = evaluate(narrowed, val_set, cfg.policy, quantum=cfg.hyper.quantum)
+        assert capsys.readouterr().out.splitlines() == [
+            f"deterministic_error={det}", f"multi_shot_error={multi} shots=3 a=0.5 g={HALF_PI}"]
+
     def test_eval_and_shots_curve(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
         assert main(["train", "--config", str(cfg_path), "--set", "quantum.a=0.5"]) == 0

@@ -194,7 +194,7 @@ class TestEncoding:
         img = rng.integers(0, 256, size=(28, 28), dtype=np.uint8)
         vec = encode_image(img)
         assert vec.shape == (784,)
-        assert vec[28] == img[1, 0] / 255.0
+        assert vec[28] == np.float32(img[1, 0]) / np.float32(255)
         assert vec.min() >= 0.0 and vec.max() <= 1.0
 
     def test_monotone_in_pixel_value(self):

@@ -16,7 +16,7 @@ from qmlp.network import NetworkParams, init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
 from qmlp.rng import EVAL, substream
 
-from oracles import classical_forward, shot_predictions
+from oracles import as_float64, classical_forward, shot_predictions
 from synthdigits import make_raw_dataset
 
 
@@ -207,8 +207,9 @@ class TestEvaluate:
 
 class TestPredictionMatrix:
     def test_matches_per_sample_predict_mode(self):
-        params = init_network_params(784, 8, 2, 10, np.random.default_rng(17))
+        params = as_float64(init_network_params(784, 8, 2, 10, np.random.default_rng(17)))
         data = encode_dataset(make_raw_dataset(12, seed=300))
+        data = EncodedDataset(X=data.X.astype(np.float64), y=data.y)
         cfg = QuantumConfig(a=0.6, g=1.2)
         shots, seed = 5, 42
         matrix = prediction_matrix(params, data, cfg, shots, seed)

@@ -18,6 +18,7 @@ from oracles import (
     classical_forward,
     relaxed_forward,
     softmax_cross_entropy,
+    as_float64,
     ste_backward,
 )
 
@@ -200,7 +201,7 @@ class TestSteBackward:
     def test_matches_finite_differences_on_relaxed_net(self):
         rng = np.random.default_rng(8)
         for _ in range(3):
-            params = init_network_params(8, 8, 2, 4, rng)
+            params = as_float64(init_network_params(8, 8, 2, 4, rng))
             x = rng.uniform(0, 1, size=8)
             label = int(rng.integers(0, 4))
             analytic = ste_backward_one(params, relaxed_forward(params, x), label)
@@ -209,7 +210,7 @@ class TestSteBackward:
 
     def test_bp_scale_changes_clip_window(self):
         rng = np.random.default_rng(9)
-        params = init_network_params(6, 5, 1, 3, rng)
+        params = as_float64(init_network_params(6, 5, 1, 3, rng))
         x = rng.uniform(0, 1, size=6)
         trace = relaxed_forward(params, x, bp_scale=2.0)
         analytic = ste_backward_one(params, trace, 0, bp_scale=2.0)

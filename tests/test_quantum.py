@@ -358,11 +358,13 @@ class TestQuantumForward:
         rng = np.random.default_rng(22)
         params = init_network_params(6, 5, 3, 3, rng)
         x = rng.uniform(0, 1, size=6)
-        gen = np.random.default_rng(7)
-        ctrl = np.random.default_rng(7)
-        ctrl.random(3 * 5)
-        forward_one(params, x, QuantumConfig(a=0.7, g=1.0), gen)
-        assert gen.random() == ctrl.random()
+        for dtype in (np.float64, np.float32):  # L * n draws of the pass's dtype
+            gen = np.random.default_rng(7)
+            ctrl = np.random.default_rng(7)
+            ctrl.random(3 * 5, dtype=dtype)
+            cfg = QuantumConfig(a=0.7, g=1.0)
+            quantum_forward_batch(params, x.astype(dtype)[:, None], cfg, [gen])
+            assert gen.random() == ctrl.random()
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(23)
@@ -458,11 +460,29 @@ class TestQuantumForward:
             sigma = np.sqrt(expected * (1 - expected) / trace.Z[k].size)
             assert abs(rate - expected) <= 4 * sigma, f"layer {k + 1}: {rate} vs {expected}"
 
+    @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-24])  # float32 draws are in [0, 1)
+    def test_classical_limit_exact_for_extreme_float32_draws(self, u):
+        class ConstantDraws:
+            def random(self, size, dtype):
+                assert dtype == np.float32
+                return np.full(size, u, dtype=dtype)
+
+        rng = np.random.default_rng(27)
+        cfg = QuantumConfig(a=0.0, g=HALF_PI)
+        for layers in (1, 2, 3):
+            params = init_network_params(6, 5, layers, 3, rng)
+            X = rng.uniform(-1, 1, size=(6, 32)).astype(np.float32)
+            q = quantum_forward_batch(params, X, cfg, [ConstantDraws() for _ in range(32)])
+            c = classical_forward_batch(params, X)
+            for dq, dc in zip(q.D, c.D):
+                assert np.array_equal(dq, dc)
+            assert np.array_equal(q.F, c.F) and q.F.dtype == np.float32
+
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     def test_classical_limit_exact_for_extreme_draws(self, u):
         class ConstantDraws:
-            def random(self, size):
-                return np.full(size, u)
+            def random(self, size, dtype=np.float64):
+                return np.full(size, u, dtype=dtype)
 
         rng = np.random.default_rng(26)
         cfg = QuantumConfig(a=0.0, g=HALF_PI)

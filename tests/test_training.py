@@ -1,9 +1,16 @@
 import numpy as np
 import pytest
 
+from qmlp import inference, training
 from qmlp.data import NUM_CLASSES, EncodedDataset, LabelOutOfRange
-from qmlp.network import NetworkParams, init_network_params
-from qmlp import training
+from qmlp.inference import InferencePolicy, evaluate
+from qmlp.network import (
+    NetworkParams,
+    classical_forward_batch,
+    init_network_params,
+    softmax_cross_entropy_batch,
+    ste_backward_batch,
+)
 from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
 from qmlp.training import (
     ConfigInvalid,
@@ -235,6 +242,85 @@ class TestTrain:
         metrics = train(hyper, data, data)
         assert metrics.records[-1].mean_loss < metrics.records[0].mean_loss
         assert metrics.records[-1].train_error < 0.2
+
+
+# the paper's classical, best-stretch, best-weak and combined points
+PAPER_POINTS = [(0.0, HALF_PI), (0.316227766, HALF_PI), (0.0, 5 * np.pi / 19),
+                (0.4641588834, 9 * np.pi / 19)]
+
+
+class TestFloat32:
+    """Library-made inputs and weights keep a run's arithmetic in float32."""
+
+    def test_facts_the_classical_limit_rests_on(self):
+        # the pole rotation by +-pi/2 gives <Z> = +-1 exactly, so p(+1) is exactly 0 or 1
+        assert np.sin(np.float32(np.pi / 2)) == 1
+        assert np.sin(np.float32(-np.pi / 2)) == -1
+        # at sin g = 1 the weak update empties the amplitude of the outcome not seen
+        assert np.sqrt(np.float32(1) - np.float32(1)) == 0
+
+    @pytest.mark.parametrize("a, g", PAPER_POINTS)
+    def test_one_step_and_one_evaluation_stay_float32(self, a, g, tiny_data, monkeypatch):
+        train_set, val_set = tiny_data
+        assert train_set.X.dtype == val_set.X.dtype == np.float32
+        one_batch = EncodedDataset(train_set.X[:16], train_set.y[:16])
+        cfg = QuantumConfig(a=a, g=g)
+        seen = {"traces": [], "dF": [], "losses": [], "grads": [], "steps": [], "draws": []}
+
+        class RecordingDraws:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def random(self, size, dtype=np.float64):
+                u = self.rng.random(size, dtype=dtype)
+                seen["draws"].append(u)
+                return u
+
+        def recording_forward(params, D0, cfg, rngs, first=None):
+            rngs = [RecordingDraws(r) for r in rngs]
+            trace = quantum_forward_batch(params, D0, cfg, rngs, first=first)
+            seen["traces"].append(trace)
+            return trace
+
+        def recording_classical(params, D0):
+            trace = classical_forward_batch(params, D0)
+            seen["traces"].append(trace)
+            return trace
+
+        def recording_loss(F, y):
+            losses, dF = softmax_cross_entropy_batch(F, y)
+            seen["losses"].append(losses)
+            seen["dF"].append(dF)
+            return losses, dF
+
+        def recording_backward(*args):
+            grads = ste_backward_batch(*args)
+            seen["grads"] += grads
+            return grads
+
+        def recording_step(params, velocity, grads, lr, momentum):
+            sgd_momentum_step(params, velocity, grads, lr, momentum)
+            seen["steps"] += params.W + velocity
+
+        for module in (training, inference):
+            monkeypatch.setattr(module, "quantum_forward_batch", recording_forward)
+            monkeypatch.setattr(module, "classical_forward_batch", recording_classical)
+        monkeypatch.setattr(training, "softmax_cross_entropy_batch", recording_loss)
+        monkeypatch.setattr(training, "ste_backward_batch", recording_backward)
+        monkeypatch.setattr(training, "sgd_momentum_step", recording_step)
+        metrics = train(tiny_hyper(epochs=1, quantum=cfg), one_batch, val_set)
+        evaluate(metrics.params, val_set, InferencePolicy.multi_shot(3, 0), quantum=cfg)
+
+        assert len(seen["steps"]) == 2 * 3 and len(seen["grads"]) == 3  # one step of 3 matrices
+        arrays = [x for t in seen["traces"] for x in t.Z + t.D + [t.F]]
+        arrays += seen["dF"] + seen["losses"] + seen["grads"] + seen["steps"] + seen["draws"]
+        arrays += metrics.params.W + metrics.velocity
+        assert {x.dtype for x in arrays} == {np.dtype(np.float32)}
+        # L * n = 2 * 16 draws per sample: 16 samples in the step, 32 in each of 3 shots
+        draws = 0 if cfg.is_classical else 32 * (16 + 3 * val_set.count)
+        assert sum(u.size for u in seen["draws"]) == draws
+        (losses,) = seen["losses"]
+        assert metrics.records[0].mean_loss == float(losses.sum(dtype=np.float64)) / 16
 
 
 def _init_rng(seed):
