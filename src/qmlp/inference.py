@@ -19,7 +19,6 @@ from .quantum import QuantumConfig, first_layer, quantum_forward_batch
 from .rng import EVAL, substream
 
 _EVAL_CHUNK = 512
-_SEED_HIGH = 1 << 64
 
 
 class EmptyDataset(QmlpError):
@@ -71,26 +70,24 @@ def prediction_matrix(
     shots: int,
     seed: int,
 ) -> np.ndarray:
-    """(n, shots) stochastic predictions with per-(sample, shot) substreams.
+    """(n, shots) stochastic predictions, one measurement stream per sample.
 
-    Shot j of sample i runs on default_rng(s_ij), where s_ij is the j-th
-    uint64 draw of substream(seed, EVAL, i). Shot j is therefore
-    reproducible on its own, the first k columns do not depend on `shots`,
-    and sorting or batching the samples differently cannot change the
-    matrix. Layer 1 before its measurement does not depend on the draws, so
-    it is computed once per chunk and shared by the chunk's shots.
+    Sample i draws from substream(seed, EVAL, i), and each shot continues
+    that stream: shot j takes the j-th block of the L * n uniforms a
+    forward pass draws per sample. The first k columns therefore do not
+    depend on `shots`, and sorting or batching the samples differently
+    cannot change the matrix; shot j cannot be replayed without drawing the
+    j earlier blocks. Layer 1 before its measurement does not depend on the
+    draws, so it is computed once per chunk and shared by the chunk's shots.
     """
     n = data.count
-    seeds = np.empty((n, shots), dtype=np.uint64)
-    for i in range(n):
-        seeds[i] = substream(seed, EVAL, i).integers(0, _SEED_HIGH, size=shots, dtype=np.uint64)
     preds = np.empty((n, shots), dtype=np.int64)
     for start in range(0, n, _EVAL_CHUNK):
         stop = min(start + _EVAL_CHUNK, n)
         D0 = data.X[start:stop].T
         first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
+        rngs = [substream(seed, EVAL, i) for i in range(start, stop)]
         for j in range(shots):
-            rngs = [np.random.default_rng(int(s)) for s in seeds[start:stop, j]]
             F = quantum_forward_batch(params, D0, cfg, rngs, first=first).F
             preds[start:stop, j] = np.argmax(F, axis=0)
     return preds

@@ -168,11 +168,11 @@ def quantum_forward_batch(
     then measure it; the outcomes are the layer's activations. Where g = pi/2
     or a = 0 every qubit stays on a pole and p(+1) is sampled in closed form
     (see the module docstring); otherwise the amplitudes go through ry_update
-    and weak_update. Column s draws L * n uniforms from
-    sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
-    activations do not depend on the batch it is in. The draws, like every
-    array of the pass, are in the dtype of W[0] @ D0: float32 for float32
-    weights and inputs.
+    and weak_update. Column s draws L * n uniforms from sample_rngs[s] up
+    front, layer-major and neuron ascending, so a sample's activations do not
+    depend on its batch; a generator passed to successive calls continues its
+    stream, one block per call. The draws, like every array of the pass, are
+    in the dtype of W[0] @ D0: float32 for float32 weights and inputs.
 
     `first` is first_layer(params, D0, cfg), computed here when None. A
     caller that runs several passes over the same D0 and cfg may compute it

@@ -13,9 +13,10 @@ chain instead:
 
 where splitmix64 is the finalizer from Steele et al.'s SplitMix generator
 (the same mixer java.util.SplittableRandom uses). The resulting 64-bit
-value seeds numpy's default PCG64 bit generator. This exact chain is part
-of the reproducibility contract: results must not depend on how work is
-batched or parallelized, only on the derived (purpose, coordinates) keys.
+value seeds numpy's default PCG64 bit generator; one passed to successive
+calls continues its stream (each shot of a sample's multi-shot inference
+takes the next block). This exact chain is part of the reproducibility
+contract: results depend only on the derived (purpose, coordinates) keys.
 """
 
 from __future__ import annotations

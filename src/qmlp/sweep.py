@@ -37,7 +37,7 @@ from .rng import mix64
 from .training import check_datasets, train, training_error
 
 CSV_HEADER = "a,g,seed,final_val_error,final_train_error,best_val_error,wall_time_s"
-NUMERICS = 2  # the version of the arithmetic behind a job's artifacts; 2 is float32
+NUMERICS = 3  # version of the arithmetic and streams behind a job's artifacts; see README
 
 
 class ResultCorrupt(QmlpError):
@@ -181,7 +181,7 @@ def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
     for cell_cfg, cell_dir in zip(cfgs, dirs):
         _finished_result(cell_dir / "result.json", _job(cell_cfg))
     if threads > 1 and len(cfgs) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(cfgs))) as pool:
             return list(pool.map(run_training_job, cfgs, dirs))
     return list(map(run_training_job, cfgs, dirs))
 

@@ -13,8 +13,8 @@ every batched kernel has an independent reference:
   pass in the documented draw order (layer-major, neuron ascending);
 * `weak_measure_oracle` builds the weak measurement from the raw two-qubit
   entangling gate;
-* `shot_predictions` replays one sample's multi-shot evaluation from the
-  documented shot-seed chain.
+* `shot_predictions` replays one sample's multi-shot evaluation from its
+  one evaluation stream.
 """
 
 from __future__ import annotations
@@ -252,11 +252,9 @@ def reference_forward(params, d0, cfg, rng):
 def shot_predictions(params, x, cfg, shots: int, seed: int, index: int) -> list:
     """Sample `index`'s `shots` stochastic predictions, one reference pass each.
 
-    Shot j runs on default_rng(s_j), where s_j is the j-th uint64 draw of
-    substream(seed, EVAL, index); argmax ties go to the lowest class.
+    The `shots` passes run one after another on one generator,
+    substream(seed, EVAL, index), each continuing its stream where the last
+    stopped; argmax ties go to the lowest class.
     """
-    seeds = substream(seed, EVAL, index).integers(0, 1 << 64, size=shots, dtype=np.uint64)
-    return [
-        int(np.argmax(reference_forward(params, x, cfg, np.random.default_rng(int(s)))[2]))
-        for s in seeds
-    ]
+    rng = substream(seed, EVAL, index)
+    return [int(np.argmax(reference_forward(params, x, cfg, rng)[2])) for _ in range(shots)]

@@ -13,6 +13,7 @@ import yaml
 
 import qmlp.cli
 import qmlp.inference
+import qmlp.sweep
 import qmlp.training
 from qmlp.checkpoint import MAGIC, VERSION, load_checkpoint, save_checkpoint
 from qmlp.cli import build_parser, main
@@ -589,23 +590,33 @@ class TestTrainJob:
         assert "delete it to re-run this job" in err
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
-    @pytest.mark.parametrize("command", ["train", "sweep"])
-    def test_numerics_1_result_is_refused(self, command, tmp_path, small_idx_dir, capsys):
-        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+    @staticmethod
+    def assert_numerics_refused(recorded, command, tmp_path, idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, idx_dir)
         out = tmp_path / "out"
         argv = [command, "--config", str(cfg_path), "--set", "sweep.a_values=[0.0]"]
         assert main(argv) == 0
         (path,) = out.rglob("result.json")
         result = json.loads(path.read_text())
-        result["job"]["numerics"] = 1  # as a float64 run recorded its job
+        result["job"]["numerics"] = recorded
         path.write_text(json.dumps(result, sort_keys=True) + "\n")
         before = {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
         capsys.readouterr()
         assert main(argv) == 1
         err = capsys.readouterr().err
-        assert err == (f"error: {path}: records another job (job.numerics: recorded 1, asked 2); "
-                       "delete it or choose another output directory\n")
+        assert err == (f"error: {path}: records another job (job.numerics: recorded {recorded}, "
+                       "asked 3); delete it or choose another output directory\n")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_numerics_1_result_is_refused(self, command, tmp_path, small_idx_dir, capsys):
+        # as a float64 run recorded its job
+        self.assert_numerics_refused(1, command, tmp_path, small_idx_dir, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_numerics_2_result_is_refused(self, command, tmp_path, small_idx_dir, capsys):
+        # as a run with one evaluation stream per (sample, shot) recorded its job
+        self.assert_numerics_refused(2, command, tmp_path, small_idx_dir, capsys)
 
     def test_checkpoint_meta_is_the_job_record(self, tmp_path, small_idx_dir):
         cfg = load_config(write_desk_config(tmp_path, small_idx_dir))
@@ -621,7 +632,7 @@ class TestTrainJob:
         assert len(settings) == 20
         for name, key in settings:
             assert records[name][key] == getattr(objects[name], key)
-        assert sorted(job) == ["data", "hyper", "numerics", "policy"] and job["numerics"] == 2
+        assert sorted(job) == ["data", "hyper", "numerics", "policy"] and job["numerics"] == 3
         leaves = len(job["data"]) + len(job["hyper"]) - 1 + len(job["hyper"]["quantum"])
         assert leaves + len(job["policy"]) == 20  # and nothing else
 
@@ -674,6 +685,32 @@ class TestSweep:
         assert main(args) == 0
         after = {p.name: (p / "metrics.jsonl").read_bytes() for p in cell_dirs}
         assert before == after
+
+    def test_pool_has_no_more_workers_than_cells(self, tmp_path, small_idx_dir, monkeypatch):
+        # the fork start method forks every worker at the first submit; this pool forks none
+        workers = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(qmlp.sweep, "ProcessPoolExecutor", SerialPool)
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        argv = ["sweep", "--config", str(cfg_path), "--threads", "64",
+                "--set", "sweep.a_values=[0.0, 0.5]", "--set", "sweep.g_values=[pi/2]",
+                "--set", "sweep.seeds=[3]"]
+        assert main(argv) == 0
+        assert workers == [2]
+        assert len((tmp_path / "out" / "sweep.csv").read_text().splitlines()) == 3
 
     @pytest.mark.parametrize(
         "override, message",
@@ -835,6 +872,23 @@ class TestEval:
         multi = evaluate(narrowed, val_set, cfg.policy, quantum=cfg.hyper.quantum)
         assert capsys.readouterr().out.splitlines() == [
             f"deterministic_error={det}", f"multi_shot_error={multi} shots=3 a=0.5 g={HALF_PI}"]
+
+    def test_numerics_2_checkpoint_evaluates(self, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        assert main(["train", "--config", str(cfg_path), "--set", "quantum.a=0.5"]) == 0
+        ckpt = tmp_path / "out" / "checkpoint.qckpt"
+        params, velocity, epoch, meta = load_checkpoint(ckpt)
+        old = tmp_path / "numerics2.qckpt"
+        save_checkpoint(old, params, velocity, epoch, {**meta, "numerics": 2})
+        outputs = []
+        for path in (ckpt, old):
+            capsys.readouterr()
+            argv = ["eval", "--config", str(cfg_path), "--set", "quantum.a=0.5",
+                    "--checkpoint", str(path)]
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr().out)
+        assert meta["numerics"] == 3 and outputs[0] == outputs[1]
+        assert outputs[0].startswith("deterministic_error=")
 
     def test_eval_and_shots_curve(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

@@ -30,20 +30,40 @@ POINTS = [
     (0.5, 1.57079632),
 ]
 
+# (layers, width, _EVAL_CHUNK) by test id: with 0 layers W[0] is the output layer; 40
+# samples in chunks of 16 leave one partial chunk; 3x5 draws an odd 15 float32 uniforms
+# per shot, so every other shot's block starts half-way through a 64-bit output
+NETS = {"3": (3, 8, 16), "0": (0, 8, 16), "3x5": (3, 5, 16), "3x5-chunk1": (3, 5, 1)}
+
+
+class Block:
+    """A generator stand-in whose one random() call returns a fixed block of draws."""
+
+    def __init__(self, block):
+        self.block = block
+
+    def random(self, size, dtype):
+        assert (size, dtype) == (self.block.shape, self.block.dtype)
+        return self.block
+
 
 def per_shot_passes(params, data, cfg, shots, seed):
-    """prediction_matrix as one self-contained forward pass per (chunk, shot)."""
-    seeds = [
-        substream(seed, EVAL, i).integers(0, 1 << 64, size=shots, dtype=np.uint64)
-        for i in range(data.count)
-    ]
+    """prediction_matrix as one self-contained forward pass per (chunk, shot).
+
+    Sample i's shots * L * n uniforms are drawn from substream(seed, EVAL, i)
+    in one call, and shot j's pass gets the j-th L * n block of them.
+    """
+    L, n = params.num_hidden_layers, params.W[0].shape[0]
+    dtype = np.result_type(params.W[0], data.X)
+    draws = [substream(seed, EVAL, i).random((shots, L, n), dtype=dtype)
+             for i in range(data.count)]
     preds = np.empty((data.count, shots), dtype=np.int64)
     chunk = qmlp.inference._EVAL_CHUNK
     for start in range(0, data.count, chunk):
         D0 = data.X[start : start + chunk].T
         for j in range(shots):
-            rngs = [np.random.default_rng(int(s[j])) for s in seeds[start : start + chunk]]
-            F = quantum_forward_batch(params, D0, cfg, rngs, first=None).F
+            blocks = [Block(d[j]) for d in draws[start : start + chunk]]
+            F = quantum_forward_batch(params, D0, cfg, blocks, first=None).F
             preds[start : start + chunk, j] = np.argmax(F, axis=0)
     return preds
 
@@ -121,8 +141,8 @@ class TestPredictMode:
         got = prediction_matrix(params, one_sample(x), cfg, 1, seed=9)
         assert got.tolist() == [shot_predictions(params, x, cfg, 1, seed=9, index=0)]
 
-    def test_shots_consume_uint64_stream(self):
-        # shot j of sample i runs on the j-th uint64 of substream(seed, EVAL, i)
+    def test_shots_continue_the_sample_stream(self):
+        # shot j of sample i takes the j-th L * n block of substream(seed, EVAL, i)
         params = init_network_params(6, 5, 1, 4, np.random.default_rng(10))
         X = np.random.default_rng(11).uniform(0, 1, size=(3, 6))
         data = EncodedDataset(X=X, y=np.zeros(3, dtype=np.int64))
@@ -220,11 +240,11 @@ class TestPredictionMatrix:
             assert modal[i] == np.argmax(np.bincount(ref, minlength=10))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("layers", [3, 0])  # with 0, W[0] is the output layer
+    @pytest.mark.parametrize("layers, width, chunk", NETS.values(), ids=NETS.keys())
     @pytest.mark.parametrize("a, g", POINTS)
-    def test_equals_self_contained_passes(self, a, g, layers, monkeypatch):
-        monkeypatch.setattr(qmlp.inference, "_EVAL_CHUNK", 16)  # 3 chunks, one partial
-        params = init_network_params(784, 8, layers, 10, np.random.default_rng(20))
+    def test_equals_self_contained_passes(self, a, g, layers, width, chunk, monkeypatch):
+        monkeypatch.setattr(qmlp.inference, "_EVAL_CHUNK", chunk)
+        params = init_network_params(784, width, layers, 10, np.random.default_rng(20))
         data = encode_dataset(make_raw_dataset(40, seed=302))
         cfg = QuantumConfig(a=a, g=g)
         got = prediction_matrix(params, data, cfg, 5, seed=21)
@@ -257,13 +277,15 @@ class TestPredictionMatrix:
         assert calls == {"first_layer": 2, "quantum_forward_batch": 6}  # 2 chunks x 3 shots
 
     def test_prefix_consistency(self):
-        # the first k columns are the same run regardless of requested shots
-        params = init_network_params(784, 8, 1, 10, np.random.default_rng(18))
+        # the first k columns are the same run regardless of requested shots; the 3x5
+        # net's float32 blocks of 15 draws each end half-way through a 64-bit output
         data = encode_dataset(make_raw_dataset(6, seed=301))
         cfg = QuantumConfig(a=0.4)
-        m3 = prediction_matrix(params, data, cfg, 3, seed=1)
-        m7 = prediction_matrix(params, data, cfg, 7, seed=1)
-        assert np.array_equal(m7[:, :3], m3)
+        for layers, width in [(1, 8), (3, 5)]:
+            params = init_network_params(784, width, layers, 10, np.random.default_rng(18))
+            m3 = prediction_matrix(params, data, cfg, 3, seed=1)
+            m7 = prediction_matrix(params, data, cfg, 7, seed=1)
+            assert np.array_equal(m7[:, :3], m3)
 
 
 class TestPolicy:

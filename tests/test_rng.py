@@ -1,6 +1,17 @@
+import hashlib
+
 import numpy as np
 
+import qmlp.inference
+import qmlp.training
+from qmlp.data import encode_dataset
+from qmlp.inference import prediction_matrix
+from qmlp.network import init_network_params
+from qmlp.quantum import HALF_PI, QuantumConfig
 from qmlp.rng import FORWARD, INIT, SHUFFLE, SUBSET, mix64, splitmix64, substream
+from qmlp.training import Hyperparams, train
+
+from synthdigits import make_raw_dataset
 
 
 def test_mix64_is_deterministic_and_64bit():
@@ -48,3 +59,55 @@ def test_vectorized_draws_match_scalar_draws():
     mat = g3.random((4, 8))
     flat = g4.random(32)
     assert np.array_equal(mat.reshape(-1), flat)
+
+
+class RecordedGenerator:
+    """A generator that logs the bytes each of its random() calls returns."""
+
+    def __init__(self, gen, log):
+        self.gen, self.log = gen, log
+
+    def random(self, *args, **kwargs):
+        out = self.gen.random(*args, **kwargs)
+        self.log.append(np.asarray(out).tobytes())
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.gen, name)
+
+
+def draw_digest(monkeypatch, run):
+    """(SHA-256 of every random() draw run() takes from qmlp's streams, number of calls)."""
+    log = []
+
+    def recording(seed, *parts):
+        return RecordedGenerator(substream(seed, *parts), log)
+
+    for module in (qmlp.training, qmlp.inference):
+        monkeypatch.setattr(module, "substream", recording)
+    run()
+    return hashlib.sha256(b"".join(log)).hexdigest(), len(log)
+
+
+# The draw schedule is frozen: a change to these digests changes the streams of every run,
+# so it comes with a new sweep.NUMERICS. The draws do not depend on BLAS, so neither do
+# the digests. 3x5 nets draw an odd 15 float32 uniforms per sample and pass.
+
+
+def test_training_draw_schedule_is_frozen(monkeypatch):
+    hyper = Hyperparams(hidden_layers=3, hidden_size=5, batch_size=16, epochs=1, train_size=40,
+                        val_size=8, quantum=QuantumConfig(a=0.316227766, g=HALF_PI), seed=5)
+    train_set = encode_dataset(make_raw_dataset(40, seed=101))
+    val_set = encode_dataset(make_raw_dataset(8, seed=102))
+    digest = draw_digest(monkeypatch, lambda: train(hyper, train_set, val_set))
+    # one FORWARD stream and one random() call per sample
+    assert digest == ("b63f374a7a3a594a96f401efd811c20cecce4e8de0f6a7fa602a8b9ace08fe1a", 40)
+
+
+def test_evaluation_draw_schedule_is_frozen(monkeypatch):
+    params = init_network_params(784, 5, 3, 10, np.random.default_rng(0))
+    data = encode_dataset(make_raw_dataset(6, seed=103))
+    cfg = QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)
+    digest = draw_digest(monkeypatch, lambda: prediction_matrix(params, data, cfg, 3, seed=7))
+    # 3 shots of 6 samples, each shot continuing its sample's stream
+    assert digest == ("c201274433c8214e50f7888a3b3fc2cb4f622ffbc99da052a41a494ec9af23f0", 18)
