@@ -7,12 +7,10 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
 from . import data as data_mod
 from .checkpoint import load_checkpoint, write_atomic
 from .config import RunConfig, load_config
-from .inference import InferencePolicy, evaluate, mode_over_shots, prediction_matrix
+from .inference import InferencePolicy, evaluate, vote_errors
 from .network import QmlpError, ShapeMismatch
 from .sweep import load_val_set, run_sweep, run_training_job
 
@@ -59,12 +57,7 @@ def cmd_eval(args) -> int:
     print(f"deterministic_error={det}")
     # errors[k - 1] is the k-shot vote's error; one matrix of width max(shots, curve) gives all
     width = max(policy.shots if multi else 0, curve or 0)
-    if quantum.is_classical or not width:  # every shot is the deterministic pass
-        errors = [det] * width
-    else:
-        preds = prediction_matrix(params, val_set, quantum, width, policy.seed)
-        errors = [float(np.mean(mode_over_shots(preds[:, :k], params.output_size) != val_set.y))
-                  for k in range(1, width + 1)]
+    errors = vote_errors(params, val_set, quantum, width, policy.seed, det) if width else []
     if multi:
         err = errors[policy.shots - 1]
         print(f"multi_shot_error={err} shots={policy.shots} a={quantum.a} g={quantum.g}")

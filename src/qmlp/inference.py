@@ -45,14 +45,6 @@ class InferencePolicy:
     def multi_shot(cls, shots: int = 15, seed: int = 0) -> "InferencePolicy":
         return cls(mode="multi_shot", shots=shots, seed=seed)
 
-    def deterministic_at(self, quantum: QuantumConfig | None) -> bool:
-        """Whether this policy's prediction at `quantum` is the deterministic pass.
-
-        At the classical point (a=0, g=pi/2) every shot equals that pass bit
-        for bit, so one pass gives the multi-shot error too.
-        """
-        return self.mode == "deterministic" or quantum.is_classical
-
 
 def predict_batch_deterministic(params: NetworkParams, X: np.ndarray) -> np.ndarray:
     """Argmax of the classical-limit output for rows of X (n, M); ties go to the lowest class."""
@@ -94,13 +86,28 @@ def prediction_matrix(
 
 
 def mode_over_shots(preds: np.ndarray, num_classes: int) -> np.ndarray:
-    """Row-wise modal class of a (n, shots) prediction matrix; ties go to the lowest class."""
-    n, shots = preds.shape
-    counts = np.zeros((n, num_classes), dtype=np.int64)
-    rows = np.arange(n)
-    for j in range(shots):
-        np.add.at(counts, (rows, preds[:, j]), 1)
-    return np.argmax(counts, axis=1)
+    """Running modal class of a (n, shots) prediction matrix: column k - 1 is each row's
+    mode over its first k shots; ties go to the lowest class."""
+    # counts[i, k - 1, c]: how many of row i's first k shots predict class c
+    counts = np.cumsum(np.eye(num_classes, dtype=np.int32)[preds], axis=1, dtype=np.int32)
+    return np.argmax(counts, axis=2)
+
+
+def vote_errors(params: NetworkParams, data: EncodedDataset, quantum: QuantumConfig,
+                shots: int, seed: int, det: float | None = None) -> list:
+    """Error of the k-shot majority vote for k = 1..shots, from one prediction matrix.
+
+    At the classical point (a=0, g=pi/2) every shot is the deterministic pass
+    bit for bit, so every entry is the deterministic error (`det` when given)
+    and nothing is drawn.
+    """
+    if data.count == 0:
+        raise EmptyDataset("cannot evaluate an empty dataset")
+    if quantum.is_classical:
+        return [evaluate(params, data, InferencePolicy.deterministic(), det=det)] * shots
+    matrix = prediction_matrix(params, data, quantum, shots, seed)
+    wrong = mode_over_shots(matrix, params.output_size) != data.y[:, None]
+    return [float(e) for e in wrong.mean(axis=0)]
 
 
 def evaluate(
@@ -108,15 +115,16 @@ def evaluate(
     data: EncodedDataset,
     policy: InferencePolicy,
     quantum: QuantumConfig | None = None,
+    det: float | None = None,
 ) -> float:
-    """Fraction of samples whose prediction differs from the label."""
+    """Fraction of samples whose prediction differs from the label; `det`, when
+    given, is the deterministic pass's error and stands in for that pass."""
     if data.count == 0:
         raise EmptyDataset("cannot evaluate an empty dataset")
-    if policy.mode == "multi_shot" and quantum is None:
-        raise ValueError("multi_shot evaluation needs a QuantumConfig")
-    if policy.deterministic_at(quantum):
-        preds = predict_batch_deterministic(params, data.X)
-    else:
-        matrix = prediction_matrix(params, data, quantum, policy.shots, policy.seed)
-        preds = mode_over_shots(matrix, params.output_size)
-    return float(np.mean(preds != data.y))
+    if policy.mode == "multi_shot":
+        if quantum is None:
+            raise ValueError("multi_shot evaluation needs a QuantumConfig")
+        return vote_errors(params, data, quantum, policy.shots, policy.seed, det)[-1]
+    if det is None:
+        det = float(np.mean(predict_batch_deterministic(params, data.X) != data.y))
+    return det

@@ -4,8 +4,8 @@ The network is fully connected with no bias terms. Hidden activations are
 sign(z) in {-1, +1} (sign(0) = +1 by convention, required for exact
 classical-limit equality tests); the output head is linear. Gradients use
 the clipped straight-through estimator: the sign activation is treated as
-hard-tanh when differentiating, so the activation derivative is 1 inside
-|z| <= bp_scale and 0 outside.
+hard-tanh(z / bp_scale) when differentiating, so the activation derivative
+is 1/bp_scale inside |z| <= bp_scale and 0 outside.
 
 Weights are float32 (init_network_params casts its draws). Every kernel
 computes in the dtype of its inputs, so float64 weights and inputs give

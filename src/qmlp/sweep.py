@@ -17,12 +17,16 @@ does not parse raises ResultCorrupt, and one whose job record is not the
 asked job's, or that holds none, raises ResultMismatch; a sweep checks
 every cell's result.json before it trains any cell. Cells are
 independent, which is what makes --threads > 1 safe and result-invariant.
+A cell that raises stops no other: sweep.csv holds the finished cells'
+rows, and CellsFailed then names each failed cell, so a re-run trains
+only the failed cells.
 """
 
 from __future__ import annotations
 
 import json
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict
 from functools import lru_cache
@@ -46,6 +50,10 @@ class ResultCorrupt(QmlpError):
 
 class ResultMismatch(QmlpError):
     """A run directory's result.json records another job, or no job record."""
+
+
+class CellsFailed(QmlpError):
+    """One or more sweep cells raised; sweep.csv holds the other cells' rows."""
 
 
 @lru_cache(maxsize=4)
@@ -146,10 +154,7 @@ def run_training_job(cfg: RunConfig, out_dir) -> dict:
     else:
         train_err = training_error(metrics.params, train_set)
         det_val = evaluate(metrics.params, val_set, InferencePolicy.deterministic())
-    if cfg.policy.deterministic_at(cfg.hyper.quantum):
-        final_val = det_val
-    else:
-        final_val = evaluate(metrics.params, val_set, cfg.policy, quantum=cfg.hyper.quantum)
+    final_val = evaluate(metrics.params, val_set, cfg.policy, cfg.hyper.quantum, det=det_val)
     val_errors = [r.val_error for r in metrics.records]
     result = {
         "a": cfg.hyper.quantum.a, "g": cfg.hyper.quantum.g, "seed": cfg.hyper.seed,
@@ -169,12 +174,26 @@ def cell_dir_name(a: float, g: float, seed: int) -> str:
     return f"a{a!r}_g{g!r}_s{seed}"
 
 
+def _run_cell(cfg: RunConfig, out_dir: Path):
+    """run_training_job's result, or the error it raised as text, so that one
+    failing cell stops no other; an error no user can cause keeps its traceback."""
+    try:
+        return run_training_job(cfg, out_dir)
+    except (QmlpError, OSError) as exc:
+        return f"{out_dir}: {type(exc).__name__}: {exc}"
+    except Exception:
+        return f"{out_dir}: {traceback.format_exc()}"
+
+
 def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
-    """Run (a, g, seed) cells under out_dir/cells/, possibly in parallel.
+    """Run (a, g, seed) cells under out_dir/cells/, possibly in parallel, and
+    write out_dir/sweep.csv from the cells that finish.
 
     Every finished cell's result.json is checked against its job before any
     cell trains, so a sweep re-run under another job stops with every byte
-    unchanged instead of mixing two jobs' cells.
+    unchanged instead of mixing two jobs' cells. A cell that raises stops no
+    other cell: after sweep.csv is written, CellsFailed names each failed
+    cell's directory and error.
     """
     cfgs = [cfg.with_quantum(a, g, seed) for a, g, seed in cells]
     dirs = [Path(out_dir) / "cells" / cell_dir_name(a, g, seed) for a, g, seed in cells]
@@ -182,8 +201,16 @@ def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
         _finished_result(cell_dir / "result.json", _job(cell_cfg))
     if threads > 1 and len(cfgs) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(cfgs))) as pool:
-            return list(pool.map(run_training_job, cfgs, dirs))
-    return list(map(run_training_job, cfgs, dirs))
+            outcomes = list(pool.map(_run_cell, cfgs, dirs))
+    else:
+        outcomes = list(map(_run_cell, cfgs, dirs))
+    results = [r for r in outcomes if isinstance(r, dict)]
+    write_sweep_csv(Path(out_dir) / "sweep.csv", results)
+    failed = [r for r in outcomes if isinstance(r, str)]
+    if failed:
+        raise CellsFailed(f"{len(failed)} of {len(outcomes)} cells failed, and sweep.csv "
+                          "holds the other cells' rows: " + "; ".join(failed))
+    return results
 
 
 def write_sweep_csv(path, results):
@@ -195,8 +222,5 @@ def write_sweep_csv(path, results):
 
 def run_sweep(cfg: RunConfig, threads: int = 1):
     """Train the full a_values x g_values x seeds grid under cfg.out_dir and write sweep.csv."""
-    out_dir = Path(cfg.out_dir)
     cells = [(a, g, s) for a in cfg.a_values for g in cfg.g_values for s in cfg.seeds]
-    results = run_cells(cfg, cells, out_dir, threads=threads)
-    write_sweep_csv(out_dir / "sweep.csv", results)
-    return results
+    return run_cells(cfg, cells, cfg.out_dir, threads=threads)

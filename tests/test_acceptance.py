@@ -280,7 +280,7 @@ def test_criterion_7_mode_inference_benefit(desk):
         preds = prediction_matrix(params, val_set, quantum, 20, seed=eval_seed)
         curves.append(
             [
-                float(np.mean(mode_over_shots(preds[:, :k], params.output_size) != val_set.y))
+                float(np.mean(mode_over_shots(preds, params.output_size)[:, k - 1] != val_set.y))
                 for k in range(1, 21)
             ]
         )

@@ -31,9 +31,12 @@ from qmlp.network import NetworkParams, init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig
 from qmlp.sweep import (
     CSV_HEADER,
+    CellsFailed,
     ResultCorrupt,
     ResultMismatch,
+    cell_dir_name,
     load_datasets,
+    run_sweep,
     run_training_job,
     write_sweep_csv,
 )
@@ -686,6 +689,61 @@ class TestSweep:
         after = {p.name: (p / "metrics.jsonl").read_bytes() for p in cell_dirs}
         assert before == after
 
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_failed_cell_costs_no_other_row(self, threads, tmp_path, small_idx_dir, capsys):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        out = tmp_path / "out"
+        argv = ["sweep", "--config", str(cfg_path), "--threads", threads,
+                "--set", "sweep.a_values=[0.0, 0.4, 0.8]", "--set", "sweep.g_values=[pi/2]",
+                "--set", "sweep.seeds=[3]"]
+        # the first cell in grid order; a file at its directory makes its mkdir raise
+        blocked = out / "cells" / cell_dir_name(0.0, HALF_PI, 3)
+        blocked.parent.mkdir(parents=True)
+        blocked.write_bytes(b"")
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 1 of 3 cells failed, and sweep.csv holds the other ")
+        assert f"{blocked}: FileExistsError: " in err and err.count("\n") == 1
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER and [row.split(",")[0] for row in rows[1:]] == ["0.4", "0.8"]
+        others = {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for p in (out / "cells").rglob("*") if p.is_file() and p != blocked}
+        assert len(others) == 6  # two cells' metrics, checkpoint and result
+
+        blocked.unlink()
+        assert main(argv) == 0
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in others} == others
+        assert (blocked / "result.json").exists()
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == ["0.0", "0.4", "0.8"]
+
+    def test_failed_cells_are_one_named_error(self, tmp_path, small_idx_dir, monkeypatch):
+        cfg = load_config(write_desk_config(tmp_path, small_idx_dir),
+                          ["sweep.a_values=[0.0, 0.4, 0.8]", "sweep.g_values=[pi/2]",
+                           "sweep.seeds=[3]"])
+        cells = tmp_path / "out" / "cells"
+        blocked, broken = (cells / cell_dir_name(a, HALF_PI, 3) for a in (0.0, 0.4))
+        cells.mkdir(parents=True)
+        blocked.write_bytes(b"")
+        job = qmlp.sweep.run_training_job
+
+        def break_one(cell_cfg, out_dir):
+            if out_dir == broken:
+                raise RuntimeError("boom")
+            return job(cell_cfg, out_dir)
+
+        monkeypatch.setattr(qmlp.sweep, "run_training_job", break_one)
+        with pytest.raises(CellsFailed, match="^2 of 3 cells failed") as exc:
+            run_sweep(cfg)
+        message = str(exc.value)
+        assert f"{blocked}: FileExistsError: " in message
+        # an error no user can cause keeps its traceback
+        assert f"{broken}: Traceback (most recent call last):" in message
+        assert "RuntimeError: boom" in message
+        rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER and [row.split(",")[0] for row in rows[1:]] == ["0.8"]
+
     def test_pool_has_no_more_workers_than_cells(self, tmp_path, small_idx_dir, monkeypatch):
         # the fork start method forks every worker at the first submit; this pool forks none
         workers = []
@@ -930,7 +988,7 @@ class TestEval:
         err = evaluate(params, val_set, cfg.policy, cfg.hyper.quantum)
         preds = prediction_matrix(params, val_set, cfg.hyper.quantum, curve, cfg.policy.seed)
         expected_csv = "shots,error\n" + "".join(
-            f"{k},{float(np.mean(mode_over_shots(preds[:, :k], 10) != val_set.y))!r}\n"
+            f"{k},{float(np.mean(mode_over_shots(preds, 10)[:, k - 1] != val_set.y))!r}\n"
             for k in range(1, curve + 1)
         )
         calls = []
@@ -939,7 +997,6 @@ class TestEval:
             calls.append(args)
             return prediction_matrix(*args)
 
-        monkeypatch.setattr(qmlp.cli, "prediction_matrix", counted)
         monkeypatch.setattr(qmlp.inference, "prediction_matrix", counted)
         capsys.readouterr()
         rc = main(
@@ -987,7 +1044,6 @@ class TestEval:
         def refuse(*args, **kwargs):
             raise AssertionError("stochastic pass at the classical point")
 
-        monkeypatch.setattr(qmlp.cli, "prediction_matrix", refuse)
         monkeypatch.setattr(qmlp.inference, "prediction_matrix", refuse)
         monkeypatch.setattr(qmlp.inference, "quantum_forward_batch", refuse)
         capsys.readouterr()

@@ -11,6 +11,7 @@ from qmlp.inference import (
     mode_over_shots,
     predict_batch_deterministic,
     prediction_matrix,
+    vote_errors,
 )
 from qmlp.network import NetworkParams, init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
@@ -68,6 +69,11 @@ def per_shot_passes(params, data, cfg, shots, seed):
     return preds
 
 
+def final_mode(preds, num_classes=10):
+    """Each row's modal class, from one bincount per row; ties go to the lowest class."""
+    return np.array([np.argmax(np.bincount(row, minlength=num_classes)) for row in preds])
+
+
 def const_net(logits):
     """Single-layer net whose output is `logits` for the all-ones input."""
     f = np.asarray(logits, dtype=np.float64)
@@ -108,10 +114,10 @@ class TestDeterministic:
 
 class TestModalClass:
     def test_simple_majority(self):
-        assert mode_over_shots(np.array([[1, 1, 2]]), 4).tolist() == [1]
+        assert mode_over_shots(np.array([[1, 1, 2]]), 4)[:, -1].tolist() == [1]
 
     def test_even_shot_tie_prefers_lowest(self):
-        assert mode_over_shots(np.array([[3, 1, 3, 1]]), 5).tolist() == [1]
+        assert mode_over_shots(np.array([[3, 1, 3, 1]]), 5)[:, -1].tolist() == [1]
 
     def test_odd_shots_two_way_tie_impossible(self):
         rng = np.random.default_rng(4)
@@ -122,7 +128,21 @@ class TestModalClass:
 
     def test_mode_over_shots_rows(self):
         preds = np.array([[0, 0, 1], [2, 1, 1], [3, 4, 3]])
-        assert mode_over_shots(preds, 5).tolist() == [0, 1, 3]
+        assert mode_over_shots(preds, 5)[:, -1].tolist() == [0, 1, 3]
+
+    def test_running_mode_is_each_prefix_mode(self):
+        # few classes make ties common: 2 classes tie at every even prefix with equal counts
+        rng = np.random.default_rng(24)
+        ties = 0
+        for n, shots, classes in [(50, 8, 2), (40, 12, 3), (30, 20, 10), (5, 1, 4)]:
+            preds = rng.integers(0, classes, size=(n, shots))
+            modes = mode_over_shots(preds, classes)
+            assert modes.shape == (n, shots)
+            for k in range(1, shots + 1):
+                assert np.array_equal(modes[:, k - 1], final_mode(preds[:, :k], classes))
+                counts = [np.bincount(row, minlength=classes) for row in preds[:, :k]]
+                ties += sum(int(np.sum(c == c.max()) > 1) for c in counts)
+        assert ties > 100
 
 
 class TestPredictMode:
@@ -131,7 +151,7 @@ class TestPredictMode:
         X = np.random.default_rng(6).uniform(0, 1, size=(10, 6))
         data = EncodedDataset(X=X, y=np.zeros(10, dtype=np.int64))
         matrix = prediction_matrix(params, data, QuantumConfig(a=0.0, g=HALF_PI), 7, seed=6)
-        modal = mode_over_shots(matrix, params.output_size)
+        modal = mode_over_shots(matrix, params.output_size)[:, -1]
         assert np.array_equal(modal, predict_batch_deterministic(params, X))
 
     def test_single_shot_is_single_stochastic_pass(self):
@@ -204,7 +224,7 @@ class TestEvaluate:
         data = self.make_data()
         cfg, policy = QuantumConfig(a=0.0), InferencePolicy.multi_shot(5, seed=8)
         matrix = prediction_matrix(params, data, cfg, policy.shots, policy.seed)
-        expected = float(np.mean(mode_over_shots(matrix, 10) != data.y))
+        expected = float(np.mean(mode_over_shots(matrix, 10)[:, -1] != data.y))
         calls = []
 
         def refuse(*args):
@@ -233,7 +253,7 @@ class TestPredictionMatrix:
         cfg = QuantumConfig(a=0.6, g=1.2)
         shots, seed = 5, 42
         matrix = prediction_matrix(params, data, cfg, shots, seed)
-        modal = mode_over_shots(matrix, 10)
+        modal = mode_over_shots(matrix, 10)[:, -1]
         for i in range(data.count):
             ref = shot_predictions(params, data.X[i], cfg, shots, seed, index=i)
             assert matrix[i].tolist() == ref
@@ -286,6 +306,57 @@ class TestPredictionMatrix:
             m3 = prediction_matrix(params, data, cfg, 3, seed=1)
             m7 = prediction_matrix(params, data, cfg, 7, seed=1)
             assert np.array_equal(m7[:, :3], m3)
+
+
+class TestVoteErrors:
+    def test_equals_per_prefix_votes(self):
+        # bitwise the errors of one mode per prefix of the matrix, on a float32 3x5 net
+        params = init_network_params(784, 5, 3, 10, np.random.default_rng(25))
+        data = encode_dataset(make_raw_dataset(60, seed=304))
+        assert params.W[0].dtype == data.X.dtype == np.float32
+        cfg = QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)
+        matrix = prediction_matrix(params, data, cfg, 9, seed=26)
+        expected = [float(np.mean(final_mode(matrix[:, :k]) != data.y)) for k in range(1, 10)]
+        got = vote_errors(params, data, cfg, 9, seed=26)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+        policy = InferencePolicy.multi_shot(9, seed=26)
+        assert evaluate(params, data, policy, cfg) == got[-1]
+
+    @pytest.mark.parametrize("det", [None, 0.375])
+    def test_classical_point_draws_nothing(self, det, monkeypatch):
+        params = init_network_params(784, 8, 2, 10, np.random.default_rng(27))
+        data = encode_dataset(make_raw_dataset(40, seed=305))
+        expected = evaluate(params, data, InferencePolicy.deterministic()) if det is None else det
+        passes = []
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("stochastic pass at the classical point")
+
+        def counted(*args):
+            passes.append(args)
+            return predict_batch_deterministic(*args)
+
+        monkeypatch.setattr(qmlp.inference, "prediction_matrix", refuse)
+        monkeypatch.setattr(qmlp.inference, "quantum_forward_batch", refuse)
+        monkeypatch.setattr(qmlp.inference, "predict_batch_deterministic", counted)
+        got = vote_errors(params, data, QuantumConfig(), 6, seed=28, det=det)
+        assert got == [expected] * 6
+        assert len(passes) == (det is None)
+
+    def test_det_stands_in_for_the_deterministic_pass(self, monkeypatch):
+        params = init_network_params(784, 8, 1, 10, np.random.default_rng(29))
+        data = encode_dataset(make_raw_dataset(10, seed=306))
+
+        def refuse(*args):
+            raise AssertionError("deterministic pass despite det")
+
+        monkeypatch.setattr(qmlp.inference, "predict_batch_deterministic", refuse)
+        assert evaluate(params, data, InferencePolicy.deterministic(), det=0.25) == 0.25
+
+    def test_empty_dataset(self):
+        data = EncodedDataset(X=np.zeros((0, 4)), y=np.zeros(0, dtype=np.int64))
+        with pytest.raises(EmptyDataset):
+            vote_errors(NetworkParams([np.eye(4)]), data, QuantumConfig(a=0.5), 3, seed=0)
 
 
 class TestPolicy:
