@@ -23,6 +23,7 @@ range, does not load.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
@@ -65,12 +66,19 @@ def write_atomic(path, data: bytes):
     """Write data to `path` through a temporary file in the same directory.
 
     The rename is atomic, so a reader (or a resumed run) sees either the
-    previous file or the complete new one, never a torn write.
+    previous file or the complete new one, never a torn write. A write that
+    raises (a full disk, an interrupt) removes the temporary file and
+    re-raises.
     """
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def save_checkpoint(path, params, velocity=None, epoch=0, meta=None):

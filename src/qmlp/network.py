@@ -81,12 +81,22 @@ def init_network_params(
 
 
 def pm1(positive, dtype):
-    """+1 where `positive` holds, else -1, as `dtype`."""
-    return np.where(positive, dtype.type(1), dtype.type(-1))
+    """+1 where `positive` holds, else -1, as `dtype`.
+
+    Computed as 2 * positive - 1 in place, with no per-element select: the
+    outcome masks are close to random, so a branching select mispredicts.
+    """
+    out = np.asarray(positive).astype(dtype)
+    out *= 2
+    out -= 1
+    return out
 
 
 def sign(x):
-    """+1 if x >= 0 else -1, elementwise, in the dtype of x."""
+    """+1 if x >= 0 else -1, elementwise, in the dtype of x.
+
+    So sign(0) = sign(-0.0) = +1 and sign(NaN) = -1 (NaN >= 0 is false).
+    """
     x = np.asarray(x)
     return pm1(x >= 0, x.dtype)
 

@@ -46,6 +46,7 @@ from .network import (
 )
 
 HALF_PI = np.pi / 2
+_DRAW_BLOCK = 64  # samples whose draws are staged sample-major, then copied into U at once
 
 
 @dataclass(frozen=True)
@@ -88,11 +89,14 @@ def ry_update(alpha, beta, theta):
     the one inexact value, so it is pinned to 0. The same formula then gives
     exactly (alpha, beta), (-beta, alpha) and (beta, -alpha). In float32,
     +-pi and +-pi/2 are the roundings of those angles, for which the same
-    three facts hold.
+    three facts hold. The pin multiplies by the |theta| != pi mask, which
+    gives -0.0 where cos rounds below zero (in float32, cos(fl32(pi)/2) is
+    -4.4e-8); adding 0.0 makes every pinned entry +0.0.
     """
     theta = np.asarray(theta)
-    c = np.where(np.abs(theta) == np.pi, 0.0, np.cos(theta / 2))
-    s = np.sin(theta / 2)
+    half = theta / 2
+    c = np.cos(half) * (np.abs(theta) != np.pi) + 0.0
+    s = np.sin(half)
     return c * alpha - s * beta, s * alpha + c * beta
 
 
@@ -192,8 +196,13 @@ def quantum_forward_batch(
     if L:
         n = params.W[0].shape[0]
         U = np.empty((L, n, B), dtype=dtype)
-        for s, rng in enumerate(sample_rngs):
-            U[:, :, s] = rng.random((L, n), dtype=dtype)
+        stage = np.empty((min(B, _DRAW_BLOCK), L, n), dtype=dtype)
+        # a sample's column of U is strided by B; the staged copy writes runs of a block's width
+        for start in range(0, B, _DRAW_BLOCK):
+            block = sample_rngs[start : start + _DRAW_BLOCK]
+            for j, rng in enumerate(block):
+                stage[j] = rng.random((L, n), dtype=dtype)
+            U[:, :, start : start + len(block)] = stage[: len(block)].transpose(1, 2, 0)
         Z, state = first_layer(params, D0, cfg) if first is None else first
     for k in range(1, L + 1):
         if k > 1:  # rotate by the angle the previous outcomes give

@@ -172,8 +172,11 @@ def train(
             loss = float(losses.sum(dtype=np.float64))
             if not np.isfinite(loss):
                 raise Diverged(f"epoch {epoch}, batch {batch}: the loss is {loss}")
-            grads = ste_backward_batch(params, trace, dF, hyper.bp_scale)
-            sgd_momentum_step(params, velocity, grads, hyper.learning_rate, hyper.momentum)
+            # no name holds the gradients, so they are freed before the epoch's evaluation
+            sgd_momentum_step(
+                params, velocity, ste_backward_batch(params, trace, dF, hyper.bp_scale),
+                hyper.learning_rate, hyper.momentum,
+            )
             loss_sum += loss
         record = EpochRecord(
             epoch=epoch,

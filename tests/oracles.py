@@ -14,7 +14,11 @@ every batched kernel has an independent reference:
 * `weak_measure_oracle` builds the weak measurement from the raw two-qubit
   entangling gate;
 * `shot_predictions` replays one sample's multi-shot evaluation from its
-  one evaluation stream.
+  one evaluation stream;
+* `pm1_where`, `sign_where`, `ry_update_where`, `draws_by_column` and
+  `where_forward_batch` are the select-and-scatter forms of the batched
+  measurement kernels, against which those kernels are compared byte for
+  byte (so the sign of a zero counts).
 """
 
 from __future__ import annotations
@@ -258,3 +262,71 @@ def shot_predictions(params, x, cfg, shots: int, seed: int, index: int) -> list:
     """
     rng = substream(seed, EVAL, index)
     return [int(np.argmax(reference_forward(params, x, cfg, rng)[2])) for _ in range(shots)]
+
+
+# --- the batched measurement kernels, written with selects and scatters -------
+
+
+def pm1_where(positive, dtype):
+    """+1 where `positive` holds, else -1, as `dtype`, by a per-element select."""
+    return np.where(positive, dtype.type(1), dtype.type(-1))
+
+
+def sign_where(x):
+    """+1 if x >= 0 else -1, elementwise, in the dtype of x, by a per-element select."""
+    x = np.asarray(x)
+    return pm1_where(x >= 0, x.dtype)
+
+
+def ry_update_where(alpha, beta, theta):
+    """R_Y(theta) on amplitude arrays, cos(theta/2) set to 0 at |theta| = pi by a select."""
+    theta = np.asarray(theta)
+    c = np.where(np.abs(theta) == np.pi, 0.0, np.cos(theta / 2))
+    s = np.sin(theta / 2)
+    return c * alpha - s * beta, s * alpha + c * beta
+
+
+def draws_by_column(sample_rngs, L, n, dtype):
+    """The (L, n, B) draws of a pass: column s gets sample s's (L, n) block, one scatter each."""
+    U = np.empty((L, n, len(sample_rngs)), dtype=dtype)
+    for s, rng in enumerate(sample_rngs):
+        U[:, :, s] = rng.random((L, n), dtype=dtype)
+    return U
+
+
+def where_forward_batch(params, D0, cfg, sample_rngs):
+    """quantum_forward_batch (first=None) as (Z, D, F), built from the forms above.
+
+    The same arithmetic in the same order, so its bytes must equal the kernel's.
+    """
+    dtype = np.result_type(params.W[0], D0)
+    sin_g = dtype.type(np.sin(cfg.g))
+    L = params.num_hidden_layers
+    n = params.W[0].shape[0] if L else 0
+    U = draws_by_column(sample_rngs, L, n, dtype)
+
+    def phi(Z):
+        return sign_where(Z) if cfg.a == 0.0 else htanh(np.asarray(Z) / cfg.a)
+
+    prev, state = 1.0, (1.0, 0.0)
+    Z_list, D_list = [], [D0]
+    for k in range(1, L + 1):
+        Z = params.W[k - 1] @ D_list[k - 1]
+        if cfg.on_poles:
+            state = prev * np.sin(HALF_PI * phi(Z))
+            D = pm1_where(U[k - 1] < 0.5 * (1.0 + state * sin_g), dtype)
+            if cfg.a == 0.0:
+                prev = state * D
+        else:
+            alpha, beta = ry_update_where(*state, HALF_PI * (prev - phi(Z)))
+            z = alpha * alpha - beta * beta
+            D = pm1_where(U[k - 1] < 0.5 * (1.0 + z * sin_g), dtype)
+            denom = 1.0 + D * z * sin_g
+            state = (
+                alpha * np.sqrt((1.0 + D * sin_g) / denom),
+                beta * np.sqrt((1.0 - D * sin_g) / denom),
+            )
+            prev = D
+        Z_list.append(Z)
+        D_list.append(D)
+    return Z_list, D_list, params.W[-1] @ D_list[-1]

@@ -1,9 +1,11 @@
+import errno
 import json
 import struct
 
 import numpy as np
 import pytest
 
+import qmlp.checkpoint
 from qmlp.checkpoint import (
     MAGIC,
     VERSION,
@@ -11,6 +13,7 @@ from qmlp.checkpoint import (
     checkpoint_bytes,
     load_checkpoint,
     save_checkpoint,
+    write_atomic,
 )
 from qmlp.network import NetworkParams, init_network_params
 
@@ -153,3 +156,36 @@ def test_entry_beyond_float32_range_is_refused(tmp_path, params):
     with pytest.raises(CheckpointCorrupt, match="weight matrix 1 holds a NaN or infinite entry, "
                                                 "or one beyond float32's range"):
         load_checkpoint(path)
+
+
+class HalfWrite:
+    """A file that writes half of what it is given, then raises `exc`."""
+
+    def __init__(self, fh, exc):
+        self.fh, self.exc = fh, exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise self.exc
+
+
+@pytest.mark.parametrize(
+    "exc", [OSError(errno.ENOSPC, "No space left on device"), KeyboardInterrupt()],
+    ids=["ENOSPC", "interrupt"],
+)
+def test_failed_write_keeps_the_file_and_leaves_no_temp(tmp_path, monkeypatch, exc):
+    path = tmp_path / "model.qckpt"
+    path.write_bytes(b"previous bytes")
+    monkeypatch.setattr(
+        qmlp.checkpoint, "open", lambda p, mode: HalfWrite(open(p, mode), exc), raising=False
+    )
+    with pytest.raises(type(exc)):
+        write_atomic(path, b"new bytes that never land")
+    assert path.read_bytes() == b"previous bytes"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.qckpt"]

@@ -8,6 +8,7 @@ from qmlp.network import (
     classical_forward_batch,
     htanh,
     init_network_params,
+    pm1,
     sign,
     softmax_cross_entropy_batch,
     ste_backward_batch,
@@ -19,6 +20,8 @@ from oracles import (
     relaxed_forward,
     softmax_cross_entropy,
     as_float64,
+    pm1_where,
+    sign_where,
     ste_backward,
 )
 
@@ -42,6 +45,33 @@ class TestActivations:
 
     def test_sign_elementwise(self):
         assert sign(np.array([-1.0, 0.0, 2.0])).tolist() == [-1.0, 1.0, 1.0]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sign_of_negative_zero_and_nan(self, dtype):
+        # the documented contract is that of x >= 0
+        x = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf], dtype=dtype)
+        out = sign(x)
+        assert out.dtype == dtype and out.tolist() == [1.0, 1.0, -1.0, -1.0, 1.0, -1.0]
+        assert sign(dtype(-0.0)) == 1.0 and sign(dtype(np.nan)) == -1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_pm1_and_sign_bytes_equal_the_select_form(self, dtype):
+        rng = np.random.default_rng(5)
+        specials = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 1.0, -1.0], dtype=dtype)
+        x = np.concatenate([specials, rng.normal(size=4000).astype(dtype)])
+        mask = rng.random((64, 65)) < 0.5
+        for got, want in [
+            (pm1(mask, np.dtype(dtype)), pm1_where(mask, np.dtype(dtype))),
+            (sign(x), sign_where(x)),
+            (sign(x[::3]), sign_where(x[::3])),  # a strided view
+        ]:
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+        for v in list(specials):  # 0-d inputs
+            assert sign(v).tobytes() == sign_where(v).tobytes()
+            assert np.ndim(sign(v)) == np.ndim(sign_where(v))
+            got, want = pm1(v >= 0, np.dtype(dtype)), pm1_where(v >= 0, np.dtype(dtype))
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_htanh_values(self):
         assert htanh(0.5) == 0.5

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import qmlp.quantum
-from qmlp.network import ShapeMismatch, classical_forward_batch, init_network_params, sign
+from qmlp.network import (
+    ShapeMismatch, classical_forward_batch, init_network_params, pm1, sign
+)
 from qmlp.quantum import (
     HALF_PI,
     QuantumConfig,
@@ -24,8 +26,10 @@ from oracles import (
     projective_measure,
     reference_forward,
     rotation_angle,
+    ry_update_where,
     weak_measure,
     weak_measure_oracle,
+    where_forward_batch,
 )
 
 
@@ -143,15 +147,32 @@ class TestApplyRy:
             a, b = ry_update(float(alpha[i]), float(beta[i]), theta)
             assert (float(a), float(b)) == (float(expected[0][i]), float(expected[1][i]))
 
-    def test_one_where_and_no_branch(self):
-        tree = ast.parse(inspect.getsource(ry_update))
-        calls = [
-            n for n in ast.walk(tree)
-            if isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
-            and n.func.attr == "where"
+    @pytest.mark.parametrize(
+        "kernel", [pm1, sign, ry_update, quantum_forward_batch], ids=lambda f: f.__name__
+    )
+    def test_no_where_and_ry_update_has_no_branch(self, kernel):
+        tree = ast.parse(inspect.getsource(kernel))
+        names = [
+            n.func.attr if isinstance(n.func, ast.Attribute) else getattr(n.func, "id", None)
+            for n in ast.walk(tree) if isinstance(n, ast.Call)
         ]
-        assert len(calls) == 1
-        assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in ast.walk(tree))
+        assert "where" not in names
+        if kernel is ry_update:
+            assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in ast.walk(tree))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_select_form(self, dtype):
+        rng = np.random.default_rng(4)
+        exact = [0.0, np.pi, -np.pi, float(np.float32(np.pi)), -float(np.float32(np.pi))]
+        theta = np.concatenate([np.repeat(exact, 200), rng.uniform(-2 * np.pi, 2 * np.pi, 4000)])
+        v = rng.normal(size=(2, theta.size))
+        alpha, beta = (v / np.linalg.norm(v, axis=0)).astype(dtype)
+        theta = theta.astype(dtype)
+        for got, want in zip(ry_update(alpha, beta, theta), ry_update_where(alpha, beta, theta)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+        for t in exact:  # 0-d angle, scalar amplitudes
+            for got, want in zip(ry_update(1.0, 0.0, dtype(t)), ry_update_where(1.0, 0.0, dtype(t))):
+                assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 class TestProjectiveMeasure:
@@ -365,6 +386,27 @@ class TestQuantumForward:
             cfg = QuantumConfig(a=0.7, g=1.0)
             quantum_forward_batch(params, x.astype(dtype)[:, None], cfg, [gen])
             assert gen.random() == ctrl.random()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "a, g",
+        [(0.316227766, HALF_PI), (0.0, 5 * np.pi / 19), (0.4641588834, 9 * np.pi / 19)],
+        ids=["projective", "a-zero-weak", "amplitudes"],
+    )
+    def test_bytes_equal_the_column_scatter_form(self, a, g, dtype):
+        # B runs over the edges of the 64-sample draw blocks; L * n = 15 is odd
+        rng = np.random.default_rng(24)
+        params = init_network_params(6, 5, 3, 3, rng)
+        params.W = [w.astype(dtype) for w in params.W]
+        cfg = QuantumConfig(a=a, g=g)
+        for B in (1, 63, 64, 65, 130):
+            X = rng.uniform(0, 1, size=(6, B)).astype(dtype)
+            streams = [substream(B, FORWARD, 0, 0, s) for s in range(B)]
+            trace = quantum_forward_batch(params, X, cfg, streams)
+            streams = [substream(B, FORWARD, 0, 0, s) for s in range(B)]
+            z_ref, d_ref, f_ref = where_forward_batch(params, X, cfg, streams)
+            for got, want in zip(trace.Z + trace.D + [trace.F], z_ref + d_ref + [f_ref]):
+                assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(23)

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from qmlp.training import (
     Hyperparams,
     sgd_momentum_step,
     train,
+    training_error,
 )
 
 from synthdigits import make_raw_dataset
@@ -170,6 +173,24 @@ class TestTrain:
         for v, last in zip(metrics.velocity, after_step[-1]):
             assert np.array_equal(v, last)
             assert np.any(v != 0.0)
+
+    def test_gradients_are_freed_before_the_epoch_evaluation(self, tiny_data, monkeypatch):
+        train_set, val_set = tiny_data
+        last_grads, alive_at_evaluation = [], []
+
+        def recording_backward(*args):
+            grads = ste_backward_batch(*args)
+            last_grads[:] = [weakref.ref(g) for g in grads]
+            return grads
+
+        def recording_error(params, data):
+            alive_at_evaluation.append(sum(ref() is not None for ref in last_grads))
+            return training_error(params, data)
+
+        monkeypatch.setattr(training, "ste_backward_batch", recording_backward)
+        monkeypatch.setattr(training, "training_error", recording_error)
+        train(tiny_hyper(), train_set, val_set)
+        assert alive_at_evaluation == [0, 0]
 
     @pytest.mark.parametrize(
         "poisoned_step, message",
