@@ -16,7 +16,7 @@ import numpy as np
 from .data import EncodedDataset
 from .network import ConfigInvalid, NetworkParams, QmlpError, classical_forward_batch
 from .quantum import QuantumConfig, first_layer, quantum_forward_batch
-from .rng import EVAL, substream
+from .rng import EVAL, substreams
 
 _EVAL_CHUNK = 512
 
@@ -78,7 +78,7 @@ def prediction_matrix(
         stop = min(start + _EVAL_CHUNK, n)
         D0 = data.X[start:stop].T
         first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
-        rngs = [substream(seed, EVAL, i) for i in range(start, stop)]
+        rngs = substreams(seed, (EVAL,), range(start, stop))
         for j in range(shots):
             F = quantum_forward_batch(params, D0, cfg, rngs, first=first).F
             preds[start:stop, j] = np.argmax(F, axis=0)

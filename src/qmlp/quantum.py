@@ -117,14 +117,22 @@ def weak_update(alpha, beta, sin_g, u):
     sqrt((1 +- d sin_g) / (1 + d <z> sin_g)). The denominator is twice the
     probability of the sampled outcome, so it is strictly positive. The
     arithmetic is in the dtype of the amplitudes; sin_g must not be wider.
+    The ratios, roots and products are built in place.
     """
     alpha, beta = np.asarray(alpha), np.asarray(beta)
-    z = alpha * alpha - beta * beta
-    p_plus = 0.5 * (1.0 + z * sin_g)
-    d = pm1(np.asarray(u) < p_plus, p_plus.dtype)
-    denom = 1.0 + d * z * sin_g
-    out_a = alpha * np.sqrt((1.0 + d * sin_g) / denom)
-    out_b = beta * np.sqrt((1.0 - d * sin_g) / denom)
+    zs = alpha * alpha - beta * beta
+    zs *= sin_g  # <z> sin_g
+    d = pm1(np.asarray(u) < 0.5 * (1.0 + zs), zs.dtype)
+    denom = d * zs  # bitwise (d <z>) sin_g, as d = +-1
+    denom += 1.0
+    # np.asarray keeps a 0-d result an array, which np.sqrt can write into
+    out_a = np.asarray(d * sin_g)
+    out_b = np.asarray(1.0 - out_a)
+    out_a += 1.0
+    for out, amp in ((out_a, alpha), (out_b, beta)):
+        out /= denom
+        np.sqrt(out, out=out)
+        out *= amp
     return d, out_a, out_b
 
 

@@ -35,7 +35,7 @@ from .network import (
     ste_backward_batch,
 )
 from .quantum import QuantumConfig, quantum_forward_batch
-from .rng import FORWARD, INIT, SHUFFLE, mix64, substream
+from .rng import FORWARD, INIT, SHUFFLE, mix64, substream, substreams
 
 
 @dataclass(frozen=True)
@@ -166,7 +166,7 @@ def train(
             if hyper.quantum.is_classical:
                 trace = classical_forward_batch(params, X.T)
             else:
-                rngs = [substream(hyper.seed, FORWARD, epoch, batch, s) for s in range(len(idx))]
+                rngs = substreams(hyper.seed, (FORWARD, epoch, batch), range(len(idx)))
                 trace = quantum_forward_batch(params, X.T, hyper.quantum, rngs)
             losses, dF = softmax_cross_entropy_batch(trace.F, y)
             loss = float(losses.sum(dtype=np.float64))

@@ -15,6 +15,11 @@ every batched kernel has an independent reference:
   entangling gate;
 * `shot_predictions` replays one sample's multi-shot evaluation from its
   one evaluation stream;
+* `default_substream` is the per-key generator, `np.random.default_rng`
+  seeded with the key's SplitMix64 value, that `qmlp.rng.substreams`
+  derives a batch at a time;
+* `weak_update_allocating` is `weak_update` with a fresh array for every
+  step;
 * `pm1_where`, `sign_where`, `ry_update_where`, `draws_by_column` and
   `where_forward_batch` are the select-and-scatter forms of the batched
   measurement kernels, against which those kernels are compared byte for
@@ -30,7 +35,7 @@ from scipy.linalg import expm
 
 from qmlp.network import BatchTrace, NetworkParams, ShapeMismatch, htanh, sign
 from qmlp.quantum import HALF_PI, phi_a, projective_update, ry_update, weak_update
-from qmlp.rng import EVAL, substream
+from qmlp.rng import EVAL, mix64
 
 def as_float64(params: NetworkParams) -> NetworkParams:
     """A float64 copy of library-made (float32) params.
@@ -40,6 +45,11 @@ def as_float64(params: NetworkParams) -> NetworkParams:
     checks and the finite-difference checks need.
     """
     return NetworkParams([w.astype(np.float64) for w in params.W])
+
+
+def default_substream(seed: int, *parts: int) -> np.random.Generator:
+    """The generator of the substream keyed by (seed, *parts), seeded one key at a time."""
+    return np.random.default_rng(mix64(seed, *parts))
 
 
 # --- classical network, one sample ------------------------------------------
@@ -257,10 +267,10 @@ def shot_predictions(params, x, cfg, shots: int, seed: int, index: int) -> list:
     """Sample `index`'s `shots` stochastic predictions, one reference pass each.
 
     The `shots` passes run one after another on one generator,
-    substream(seed, EVAL, index), each continuing its stream where the last
-    stopped; argmax ties go to the lowest class.
+    default_substream(seed, EVAL, index), each continuing its stream where the
+    last stopped; argmax ties go to the lowest class.
     """
-    rng = substream(seed, EVAL, index)
+    rng = default_substream(seed, EVAL, index)
     return [int(np.argmax(reference_forward(params, x, cfg, rng)[2])) for _ in range(shots)]
 
 
@@ -284,6 +294,18 @@ def ry_update_where(alpha, beta, theta):
     c = np.where(np.abs(theta) == np.pi, 0.0, np.cos(theta / 2))
     s = np.sin(theta / 2)
     return c * alpha - s * beta, s * alpha + c * beta
+
+
+def weak_update_allocating(alpha, beta, sin_g, u):
+    """weak_update written as one expression per quantity, each step a new array."""
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    z = alpha * alpha - beta * beta
+    p_plus = 0.5 * (1.0 + z * sin_g)
+    d = pm1_where(np.asarray(u) < p_plus, p_plus.dtype)
+    denom = 1.0 + d * z * sin_g
+    out_a = alpha * np.sqrt((1.0 + d * sin_g) / denom)
+    out_b = beta * np.sqrt((1.0 - d * sin_g) / denom)
+    return d, out_a, out_b
 
 
 def draws_by_column(sample_rngs, L, n, dtype):
@@ -318,14 +340,8 @@ def where_forward_batch(params, D0, cfg, sample_rngs):
             if cfg.a == 0.0:
                 prev = state * D
         else:
-            alpha, beta = ry_update_where(*state, HALF_PI * (prev - phi(Z)))
-            z = alpha * alpha - beta * beta
-            D = pm1_where(U[k - 1] < 0.5 * (1.0 + z * sin_g), dtype)
-            denom = 1.0 + D * z * sin_g
-            state = (
-                alpha * np.sqrt((1.0 + D * sin_g) / denom),
-                beta * np.sqrt((1.0 - D * sin_g) / denom),
-            )
+            rotated = ry_update_where(*state, HALF_PI * (prev - phi(Z)))
+            D, *state = weak_update_allocating(*rotated, sin_g, U[k - 1])
             prev = D
         Z_list.append(Z)
         D_list.append(D)

@@ -26,7 +26,7 @@ from qmlp.quantum import (
     ry_update,
     weak_update,
 )
-from qmlp.sweep import load_datasets, run_cells, run_training_job, write_sweep_csv
+from qmlp.sweep import load_datasets, run_cells, run_training_job
 from qmlp.training import Hyperparams
 
 from conftest import mnist_dir
@@ -210,7 +210,6 @@ def desk(tmp_path_factory, synth_corpus):
         out_dir=str(root / "out"),
     )
     results = run_cells(cfg, DESK_CELLS, root / "out", threads=min(2, os.cpu_count() or 1))
-    write_sweep_csv(root / "out" / "sweep.csv", results)
     print(f"\n[acceptance] desk corpus: {source}; {len(results)} cells trained")
     return {
         "cfg": cfg,

@@ -29,6 +29,7 @@ from oracles import (
     ry_update_where,
     weak_measure,
     weak_measure_oracle,
+    weak_update_allocating,
     where_forward_batch,
 )
 
@@ -281,6 +282,22 @@ class TestWeakMeasure:
             s = random_state(rng)
             out = weak_measure(s, rng.uniform(0, HALF_PI), rng)
             assert abs(out.post_state.norm_sq() - 1.0) < 1e-12
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bytes_equal_the_allocating_form(self, dtype):
+        rng = np.random.default_rng(19)
+        v = rng.normal(size=(2, 5000))
+        alpha, beta = (v / np.linalg.norm(v, axis=0)).astype(dtype)
+        u = rng.random(5000, dtype=dtype)
+        for sin_g in [dtype(0), dtype(1)] + [dtype(np.sin(g)) for g in rng.uniform(0, HALF_PI, 4)]:
+            cases = [(alpha, beta, u), (alpha[0], beta[0], u)]  # arrays; scalar amplitudes
+            cases += [(alpha[i], beta[i], u[i]) for i in range(50)]  # 0-d everything
+            for args in cases:
+                got = weak_update(args[0], args[1], sin_g, args[2])
+                want = weak_update_allocating(args[0], args[1], sin_g, args[2])
+                for x, y in zip(got, want):
+                    assert np.asarray(x).dtype == dtype
+                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
 
     def test_scalar_matches_vector_core(self):
         rng = np.random.default_rng(18)

@@ -8,9 +8,12 @@ from qmlp.data import encode_dataset
 from qmlp.inference import prediction_matrix
 from qmlp.network import init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig
-from qmlp.rng import FORWARD, INIT, SHUFFLE, SUBSET, mix64, splitmix64, substream
+from qmlp.rng import (
+    EVAL, FORWARD, INIT, SHUFFLE, SUBSET, mix64, seed_words, splitmix64, substream, substreams
+)
 from qmlp.training import Hyperparams, train
 
+from oracles import default_substream
 from synthdigits import make_raw_dataset
 
 
@@ -61,6 +64,65 @@ def test_vectorized_draws_match_scalar_draws():
     assert np.array_equal(mat.reshape(-1), flat)
 
 
+def test_splitmix64_on_uint64_arrays_equals_python_ints():
+    x = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, 0x9E3779B97F4A7C15]
+    got = splitmix64(np.array(x, dtype=np.uint64))
+    assert got.dtype == np.uint64 and got.tolist() == [splitmix64(v) for v in x]
+    keys = mix64(9, FORWARD, 3, 2, np.arange(5, dtype=np.uint64))
+    assert keys.tolist() == [mix64(9, FORWARD, 3, 2, s) for s in range(5)]
+
+
+def test_seed_words_equal_numpy_seed_sequence():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**64 - 1]
+    values = edges + [int(v) for v in np.random.default_rng(2).integers(0, 2**64, 500, np.uint64)]
+    got = seed_words(np.array(values, dtype=np.uint64))
+    assert got.shape == (len(values), 4) and got.dtype == np.uint64
+    want = [np.random.SeedSequence(v).generate_state(4, np.uint64) for v in values]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want))
+    for v, w in zip(edges, want):  # one value, given as a Python int
+        assert np.array_equal(seed_words(v), [w])
+
+
+def batch_keys():
+    """10,240 measurement keys as (seed, parts, last): training batches and evaluation chunks."""
+    for seed in (0, 5, 2**64 - 1):
+        for epoch in (0, 7):
+            for batch in range(16):
+                yield seed, (FORWARD, epoch, batch), range(64)
+    for start in range(0, 4096, 512):
+        yield 7, (EVAL,), range(start, start + 512)
+
+
+def test_batch_form_equals_default_rng_key_for_key():
+    count = 0
+    for seed, parts, last in batch_keys():
+        gens = substreams(seed, parts, last)
+        assert len(gens) == len(last)
+        for k, gen in zip(last, gens):
+            assert gen.bit_generator.state == default_substream(seed, *parts, k).bit_generator.state
+        count += len(gens)
+    assert count >= 10_000
+
+
+def test_batch_form_continues_like_default_rng():
+    # a non-zero start, and successive odd-sized float32 draws as multi-shot evaluation takes
+    gens = substreams(11, (EVAL,), range(512, 1024))
+    refs = [default_substream(11, EVAL, i) for i in range(512, 1024)]
+    for _shot in range(3):
+        for gen, ref in zip(gens, refs):
+            want = ref.random(15, dtype=np.float32)
+            assert gen.random(15, dtype=np.float32).tobytes() == want.tobytes()
+    assert substreams(11, (EVAL,), range(0)) == [] and substreams(11, (FORWARD, 0, 0), []) == []
+
+
+def test_substream_is_the_one_key_case():
+    # a last part outside [0, 2^64) is masked to 64 bits, as mix64 masks it
+    for parts in [(INIT,), (SUBSET,), (SHUFFLE,), (FORWARD, 1, 2, 3), (EVAL, 2**64 - 1),
+                  (EVAL, -1), (EVAL, 2**64)]:
+        want = default_substream(13, *parts).bit_generator.state
+        assert substream(13, *parts).bit_generator.state == want
+
+
 class RecordedGenerator:
     """A generator that logs the bytes each of its random() calls returns."""
 
@@ -77,14 +139,15 @@ class RecordedGenerator:
 
 
 def draw_digest(monkeypatch, run):
-    """(SHA-256 of every random() draw run() takes from qmlp's streams, number of calls)."""
+    """(SHA-256 of every random() draw run() takes from qmlp's measurement streams,
+    number of calls); training and evaluation take those streams from `substreams`."""
     log = []
 
-    def recording(seed, *parts):
-        return RecordedGenerator(substream(seed, *parts), log)
+    def recording(seed, parts, last):
+        return [RecordedGenerator(gen, log) for gen in substreams(seed, parts, last)]
 
     for module in (qmlp.training, qmlp.inference):
-        monkeypatch.setattr(module, "substream", recording)
+        monkeypatch.setattr(module, "substreams", recording)
     run()
     return hashlib.sha256(b"".join(log)).hexdigest(), len(log)
 
