@@ -18,7 +18,8 @@ from .network import ConfigInvalid, NetworkParams, QmlpError, classical_forward_
 from .quantum import QuantumConfig, first_layer, quantum_forward_batch
 from .rng import EVAL, substreams
 
-_EVAL_CHUNK = 512
+_EVAL_CHUNK = 512  # samples per deterministic pass
+_EVAL_QUBITS = 65_536  # qubits per multi-shot pass, so that a weak layer's arrays stay in L2
 
 
 class EmptyDataset(QmlpError):
@@ -69,13 +70,16 @@ def prediction_matrix(
     forward pass draws per sample. The first k columns therefore do not
     depend on `shots`, and sorting or batching the samples differently
     cannot change the matrix; shot j cannot be replayed without drawing the
-    j earlier blocks. Layer 1 before its measurement does not depend on the
-    draws, so it is computed once per chunk and shared by the chunk's shots.
+    j earlier blocks. A chunk holds _EVAL_QUBITS // width samples (at least
+    one), where width is W[0]'s row count, so that the arrays of a pass stay
+    in cache. Layer 1 before its measurement does not depend on the draws,
+    so it is computed once per chunk and shared by the chunk's shots.
     """
     n = data.count
+    chunk = max(1, _EVAL_QUBITS // params.W[0].shape[0])
     preds = np.empty((n, shots), dtype=np.int64)
-    for start in range(0, n, _EVAL_CHUNK):
-        stop = min(start + _EVAL_CHUNK, n)
+    for start in range(0, n, chunk):
+        stop = min(start + chunk, n)
         D0 = data.X[start:stop].T
         first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
         rngs = substreams(seed, (EVAL,), range(start, stop))

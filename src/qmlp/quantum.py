@@ -4,10 +4,12 @@ Conventions
 ~~~~~~~~~~~
 
 * Activation +1 corresponds to |0>, activation -1 to |1>. A qubit state is
-  the real amplitude pair (alpha, beta) with alpha^2 + beta^2 = 1.
-* Amplitudes stay real throughout: R_Y(theta) is a real matrix in the
-  computational basis, and the weak-measurement update only rescales each
-  amplitude by a real factor. Complex storage would be dead weight.
+  real, alpha |0> + beta |1> with alpha^2 + beta^2 = 1, and is carried as
+  its Bloch pair (z, x) = (alpha^2 - beta^2, 2 alpha beta), that is
+  (<Z>, <X>); a fresh qubit is (1, 0).
+* The pair stays on the unit circle of the x-z plane: R_Y(theta) turns it
+  by theta, and the weak-measurement update maps it in closed form with no
+  square root. Complex amplitudes and <Y> would be dead weight.
 * Each neuron entangles only with its own fresh ancilla, which is measured
   immediately, so the neuron marginal remains a pure single-qubit state.
   The ancilla (prepared in an equal superposition) is never represented:
@@ -20,19 +22,19 @@ Conventions
 The channel is tuned by two knobs: the activation stretch `a` (a = 0 gives
 hard sign targets, so rotation angles are 0 or +-pi) and the entanglement
 angle `g` (g = pi/2 makes the ancilla measurement equivalent to a projective
-measurement of the neuron).
+measurement of the neuron). Outcome +1 has probability (1 + z sin g) / 2.
 
 Pole rule: where g = pi/2 or a = 0, measurement leaves every qubit on a pole
-(|0> or |1>, up to sign), so no amplitudes are stored. Let s be the pole and
-d_prev the last outcome, and carry t = s * d_prev (1 for |0> before layer 1).
-Rotating the pole gives <Z> = t * sin(pi/2 * phi_a(z)), and the outcome is
-+1 with probability (1 + <Z> sin g) / 2. After a projective measurement the
-qubit is |d>, so t = 1. At a = 0 the rotation maps a pole to a pole and the
-weak measurement leaves it there, so t = <Z> * d. As sin(+-pi/2) = +-1
-exactly (in float32 too, where pi/2 rounds up to an angle whose sine rounds
-to 1), (a=0, g=pi/2) reproduces the classical binarized network
-bit-for-bit. Only a > 0 with g < pi/2 carries amplitudes through ry_update
-and weak_update.
+(|0> or |1>, up to sign), so x = 0 and only z is carried. Let s be the pole
+and d_prev the last outcome, and carry t = s * d_prev (1 for |0> before
+layer 1). Rotating the pole gives z = t * sin(pi/2 * phi_a(z_pre)). After a
+projective measurement the qubit is |d>, so t = 1. At a = 0 the rotation
+maps a pole to a pole and the weak measurement leaves it there, so
+t = z * d. As sin(+-pi/2) = +-1 exactly (in float32 too, where pi/2 rounds
+up to an angle whose sine rounds to 1), (a=0, g=pi/2) reproduces the
+classical binarized network bit-for-bit. Only a > 0 with g < pi/2 carries
+(z, x) through ry_update and weak_update; nothing there depends on exact
+poles.
 """
 
 from __future__ import annotations
@@ -79,25 +81,22 @@ def phi_a(x, a: float):
     return htanh(np.asarray(x) / a)
 
 
-def ry_update(alpha, beta, theta):
-    """Apply R_Y(theta) elementwise to amplitude arrays.
+def ry_update(z, x, theta):
+    """Apply R_Y(theta) elementwise to Bloch pairs: turn (z, x) by theta.
 
-    (alpha, beta) -> (c alpha - s beta, s alpha + c beta) with c = cos(theta/2)
-    and s = sin(theta/2). The rotation angles 0 and +-pi must map basis states
-    exactly on the weak-measurement path. sin(0) = 0, cos(0) = 1 and
-    sin(+-pi/2) = +-1 are exact in floating point; cos(+-pi/2) = 6.1e-17 is
-    the one inexact value, so it is pinned to 0. The same formula then gives
-    exactly (alpha, beta), (-beta, alpha) and (beta, -alpha). In float32,
-    +-pi and +-pi/2 are the roundings of those angles, for which the same
-    three facts hold. The pin multiplies by the |theta| != pi mask, which
-    gives -0.0 where cos rounds below zero (in float32, cos(fl32(pi)/2) is
-    -4.4e-8); adding 0.0 makes every pinned entry +0.0.
+    (z, x) -> (z cos theta - x sin theta, z sin theta + x cos theta). The
+    new x is built in place in the arrays cos(theta) and sin(theta), so a
+    theta that is not 0-d must have the shape of the result, and z and x
+    must not be wider than its dtype.
     """
     theta = np.asarray(theta)
-    half = theta / 2
-    c = np.cos(half) * (np.abs(theta) != np.pi) + 0.0
-    s = np.sin(half)
-    return c * alpha - s * beta, s * alpha + c * beta
+    c, s = np.cos(theta), np.sin(theta)
+    out_z = c * z
+    out_z -= s * x
+    s *= z  # then s z + c x
+    c *= x
+    s += c
+    return out_z, s
 
 
 def projective_update(alpha, beta, u):
@@ -109,31 +108,32 @@ def projective_update(alpha, beta, u):
     return d, out_a, out_b
 
 
-def weak_update(alpha, beta, sin_g, u):
-    """Ancilla-mediated weak measurement with entanglement strength sin_g.
+def _outcome(zs, u):
+    """Measurement outcomes in the dtype of zs = z sin_g: d = +1 where u < (1 + zs) / 2,
+    else -1."""
+    p_plus = zs + 1.0  # then bitwise 0.5 * (1 + zs)
+    p_plus *= 0.5
+    return pm1(np.asarray(u) < p_plus, p_plus.dtype)
 
-    Outcome d = +-1 with probability (1 + d <z> sin_g) / 2 where
-    <z> = alpha^2 - beta^2; the surviving amplitudes are rescaled by
-    sqrt((1 +- d sin_g) / (1 + d <z> sin_g)). The denominator is twice the
-    probability of the sampled outcome, so it is strictly positive. The
-    arithmetic is in the dtype of the amplitudes; sin_g must not be wider.
-    The ratios, roots and products are built in place.
+
+def weak_update(z, x, sin_g, cos_g, u):
+    """Ancilla-mediated weak measurement of Bloch pairs with strength sin_g.
+
+    Outcome d = +-1 with probability (1 + d z sin_g) / 2. The pair becomes
+    ((z + d sin_g) / D, x cos_g / D) with D = 1 + d z sin_g, twice the
+    probability of the sampled outcome, so D > 0. The arithmetic is in the
+    dtype of z; sin_g and cos_g must not be wider.
     """
-    alpha, beta = np.asarray(alpha), np.asarray(beta)
-    zs = alpha * alpha - beta * beta
-    zs *= sin_g  # <z> sin_g
-    d = pm1(np.asarray(u) < 0.5 * (1.0 + zs), zs.dtype)
-    denom = d * zs  # bitwise (d <z>) sin_g, as d = +-1
+    zs = np.multiply(z, sin_g)
+    d = _outcome(zs, u)
+    denom = d * zs  # bitwise (d z) sin_g, as d = +-1
     denom += 1.0
-    # np.asarray keeps a 0-d result an array, which np.sqrt can write into
-    out_a = np.asarray(d * sin_g)
-    out_b = np.asarray(1.0 - out_a)
-    out_a += 1.0
-    for out, amp in ((out_a, alpha), (out_b, beta)):
-        out /= denom
-        np.sqrt(out, out=out)
-        out *= amp
-    return d, out_a, out_b
+    out_z = d * sin_g
+    out_z += z
+    out_z /= denom
+    out_x = np.multiply(x, cos_g, out=np.empty_like(denom))
+    out_x /= denom
+    return d, out_z, out_x
 
 
 def _check_hidden_widths(params: NetworkParams):
@@ -145,12 +145,15 @@ def _check_hidden_widths(params: NetworkParams):
 
 
 def _rotate(Z, cfg: QuantumConfig, prev, state):
-    """Layer state before measurement: <Z> = prev * sin(pi/2 * phi_a(Z)) on the poles
-    (prev is t), else the amplitudes `state` rotated by pi/2 * (prev - phi_a(Z)) (prev
+    """Layer state before measurement: z = prev * sin(pi/2 * phi_a(Z)) on the poles
+    (prev is t), else the Bloch pair `state` turned by pi/2 * (prev - phi_a(Z)) (prev
     is the last outcome). Qubits fresh in |0> have prev = 1 and state = (1, 0)."""
     if cfg.on_poles:
         return prev * np.sin(HALF_PI * phi_a(Z, cfg.a))
-    return ry_update(*state, HALF_PI * (prev - phi_a(Z, cfg.a)))
+    theta = phi_a(Z, cfg.a)  # a fresh array; then bitwise pi/2 * (prev - phi_a(Z))
+    np.subtract(prev, theta, out=theta)
+    theta *= HALF_PI
+    return ry_update(*state, theta)
 
 
 def first_layer(params: NetworkParams, D0: np.ndarray, cfg: QuantumConfig):
@@ -178,13 +181,15 @@ def quantum_forward_batch(
     Columns of D0 (M, B) are samples. Qubits start in |0>. Per layer: rotate
     each qubit by the angle computed from the previous measured activations,
     then measure it; the outcomes are the layer's activations. Where g = pi/2
-    or a = 0 every qubit stays on a pole and p(+1) is sampled in closed form
-    (see the module docstring); otherwise the amplitudes go through ry_update
-    and weak_update. Column s draws L * n uniforms from sample_rngs[s] up
-    front, layer-major and neuron ascending, so a sample's activations do not
-    depend on its batch; a generator passed to successive calls continues its
-    stream, one block per call. The draws, like every array of the pass, are
-    in the dtype of W[0] @ D0: float32 for float32 weights and inputs.
+    or a = 0 every qubit stays on a pole and only its z is carried (see the
+    module docstring); otherwise its Bloch pair goes through ry_update and
+    weak_update. Nothing reads the last layer's post-measurement state, so
+    that layer only samples its outcomes. Column s draws L * n uniforms from
+    sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
+    activations do not depend on its batch; a generator passed to successive
+    calls continues its stream, one block per call. The draws, like every
+    array of the pass, are in the dtype of W[0] @ D0: float32 for float32
+    weights and inputs.
 
     `first` is first_layer(params, D0, cfg), computed here when None. A
     caller that runs several passes over the same D0 and cfg may compute it
@@ -198,7 +203,8 @@ def quantum_forward_batch(
     if len(sample_rngs) != B:
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
     dtype = np.result_type(params.W[0], D0)
-    sin_g = dtype.type(np.sin(cfg.g))  # np.sin returns float64, which would widen the pass
+    # np.sin and np.cos return float64, which would widen the pass
+    sin_g, cos_g = dtype.type(np.sin(cfg.g)), dtype.type(np.cos(cfg.g))
     prev = 1.0  # t = 1 after a projective measurement; the other paths set prev per layer
     Z_list, D_list = [], [D0]
     if L:
@@ -216,12 +222,12 @@ def quantum_forward_batch(
         if k > 1:  # rotate by the angle the previous outcomes give
             Z = params.W[k - 1] @ D_list[k - 1]
             state = _rotate(Z, cfg, prev, state)
-        if cfg.on_poles:  # state is <Z>
-            D = pm1(U[k - 1] < 0.5 * (1.0 + state * sin_g), dtype)
-            if cfg.a == 0.0:  # the pole did not move; at g = pi/2 this keeps t = 1
+        if cfg.on_poles or k == L:  # only z is read: state is z, or the last layer's pair
+            D = _outcome((state if cfg.on_poles else state[0]) * sin_g, U[k - 1])
+            if cfg.a == 0.0 and k < L:  # the pole did not move; at g = pi/2 this keeps t = 1
                 prev = state * D
-        else:  # state is (alpha, beta)
-            D, *state = weak_update(*state, sin_g, U[k - 1])
+        else:  # state is the Bloch pair (z, x)
+            D, *state = weak_update(*state, sin_g, cos_g, U[k - 1])
             prev = D
         Z_list.append(Z)
         D_list.append(D)

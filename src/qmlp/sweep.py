@@ -41,7 +41,7 @@ from .rng import mix64
 from .training import check_datasets, train, training_error
 
 CSV_HEADER = "a,g,seed,final_val_error,final_train_error,best_val_error,wall_time_s"
-NUMERICS = 3  # version of the arithmetic and streams behind a job's artifacts; see README
+NUMERICS = 4  # version of the arithmetic and streams behind a job's artifacts; see README
 
 
 class ResultCorrupt(QmlpError):

@@ -8,9 +8,12 @@ every batched kernel has an independent reference:
 * `classical_forward`, `relaxed_forward`, `softmax_cross_entropy` and
   `ste_backward` act on a single input vector;
 * `QubitState`, `rotation_angle`, `apply_ry`, `projective_measure` and
-  `weak_measure` model one qubit with scalar amplitudes;
+  `weak_measure` model one qubit with scalar amplitudes, through
+  `amplitude_ry_update` and `amplitude_weak_update`, the amplitude-level
+  reference for the library's Bloch-pair kernels;
 * `reference_forward` is the per-neuron scalar loop of the quantum forward
-  pass in the documented draw order (layer-major, neuron ascending);
+  pass in the documented draw order (layer-major, neuron ascending), on
+  amplitudes;
 * `weak_measure_oracle` builds the weak measurement from the raw two-qubit
   entangling gate;
 * `shot_predictions` replays one sample's multi-shot evaluation from its
@@ -18,12 +21,13 @@ every batched kernel has an independent reference:
 * `default_substream` is the per-key generator, `np.random.default_rng`
   seeded with the key's SplitMix64 value, that `qmlp.rng.substreams`
   derives a batch at a time;
-* `weak_update_allocating` is `weak_update` with a fresh array for every
-  step;
-* `pm1_where`, `sign_where`, `ry_update_where`, `draws_by_column` and
-  `where_forward_batch` are the select-and-scatter forms of the batched
-  measurement kernels, against which those kernels are compared byte for
-  byte (so the sign of a zero counts).
+* `ry_update_allocating` and `weak_update_allocating` are the Bloch-pair
+  kernels `ry_update` and `weak_update` with one expression per quantity,
+  each step a new array;
+* `pm1_where`, `sign_where`, `draws_by_column` and `where_forward_batch`
+  are the select-and-scatter forms of the batched measurement kernels,
+  against which those kernels are compared byte for byte (so the sign of
+  a zero counts).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qmlp.network import BatchTrace, NetworkParams, ShapeMismatch, htanh, sign
-from qmlp.quantum import HALF_PI, phi_a, projective_update, ry_update, weak_update
+from qmlp.quantum import HALF_PI, phi_a, projective_update
 from qmlp.rng import EVAL, mix64
 
 def as_float64(params: NetworkParams) -> NetworkParams:
@@ -189,7 +193,7 @@ def rotation_angle(k: int, d_prev: float, preact: float, a: float) -> float:
 
 def apply_ry(state: QubitState, theta: float) -> QubitState:
     """Rotate a single qubit about the y-axis by theta."""
-    a, b = ry_update(state.alpha, state.beta, theta)
+    a, b = amplitude_ry_update(state.alpha, state.beta, theta)
     return QubitState(float(a), float(b))
 
 
@@ -208,7 +212,7 @@ def weak_measure(state: QubitState, g: float, rng: np.random.Generator) -> Measu
     g = pi/2 reproduces a projective measurement; g = 0 leaves the state
     untouched and returns a fair coin.
     """
-    d, a, b = weak_update(state.alpha, state.beta, np.sin(g), rng.random())
+    d, a, b = amplitude_weak_update(state.alpha, state.beta, np.sin(g), rng.random())
     return MeasurementOutcome(d=int(d), post_state=QubitState(float(a), float(b)))
 
 
@@ -288,16 +292,18 @@ def sign_where(x):
     return pm1_where(x >= 0, x.dtype)
 
 
-def ry_update_where(alpha, beta, theta):
-    """R_Y(theta) on amplitude arrays, cos(theta/2) set to 0 at |theta| = pi by a select."""
+def amplitude_ry_update(alpha, beta, theta):
+    """R_Y(theta) on amplitude arrays, cos(theta/2) set to 0 at |theta| = pi by a select,
+    so that the angles 0 and +-pi map basis states exactly."""
     theta = np.asarray(theta)
     c = np.where(np.abs(theta) == np.pi, 0.0, np.cos(theta / 2))
     s = np.sin(theta / 2)
     return c * alpha - s * beta, s * alpha + c * beta
 
 
-def weak_update_allocating(alpha, beta, sin_g, u):
-    """weak_update written as one expression per quantity, each step a new array."""
+def amplitude_weak_update(alpha, beta, sin_g, u):
+    """Weak measurement of amplitude arrays: d = +1 where u < (1 + <z> sin_g) / 2, and the
+    amplitudes rescaled by sqrt((1 +- d sin_g) / (1 + d <z> sin_g))."""
     alpha, beta = np.asarray(alpha), np.asarray(beta)
     z = alpha * alpha - beta * beta
     p_plus = 0.5 * (1.0 + z * sin_g)
@@ -308,6 +314,21 @@ def weak_update_allocating(alpha, beta, sin_g, u):
     return d, out_a, out_b
 
 
+def ry_update_allocating(z, x, theta):
+    """ry_update on Bloch pairs as two expressions."""
+    theta = np.asarray(theta)
+    return np.cos(theta) * z - np.sin(theta) * x, np.sin(theta) * z + np.cos(theta) * x
+
+
+def weak_update_allocating(z, x, sin_g, cos_g, u):
+    """weak_update on Bloch pairs as one expression per quantity, each step a new array."""
+    z = np.asarray(z)
+    p_plus = 0.5 * (1.0 + z * sin_g)
+    d = pm1_where(np.asarray(u) < p_plus, p_plus.dtype)
+    denom = 1.0 + d * (z * sin_g)
+    return d, (z + d * sin_g) / denom, x * cos_g / denom
+
+
 def draws_by_column(sample_rngs, L, n, dtype):
     """The (L, n, B) draws of a pass: column s gets sample s's (L, n) block, one scatter each."""
     U = np.empty((L, n, len(sample_rngs)), dtype=dtype)
@@ -316,13 +337,18 @@ def draws_by_column(sample_rngs, L, n, dtype):
     return U
 
 
-def where_forward_batch(params, D0, cfg, sample_rngs):
+def where_forward_batch(params, D0, cfg, sample_rngs, amplitudes=False):
     """quantum_forward_batch (first=None) as (Z, D, F), built from the forms above.
 
-    The same arithmetic in the same order, so its bytes must equal the kernel's.
+    The same arithmetic in the same order, so its bytes must equal the kernel's;
+    it measures every layer in full, where the kernel only samples the last
+    layer's outcomes. With `amplitudes`, the weak path carries amplitude pairs
+    through the amplitude-level reference instead: the same outcome law and
+    draws, but other roundings, so its outcomes agree with the kernel's only
+    where no draw falls within rounding of its outcome's probability.
     """
     dtype = np.result_type(params.W[0], D0)
-    sin_g = dtype.type(np.sin(cfg.g))
+    sin_g, cos_g = dtype.type(np.sin(cfg.g)), dtype.type(np.cos(cfg.g))
     L = params.num_hidden_layers
     n = params.W[0].shape[0] if L else 0
     U = draws_by_column(sample_rngs, L, n, dtype)
@@ -330,6 +356,12 @@ def where_forward_batch(params, D0, cfg, sample_rngs):
     def phi(Z):
         return sign_where(Z) if cfg.a == 0.0 else htanh(np.asarray(Z) / cfg.a)
 
+    def measure(state, u):
+        if amplitudes:
+            return amplitude_weak_update(*state, sin_g, u)
+        return weak_update_allocating(*state, sin_g, cos_g, u)
+
+    rotate = amplitude_ry_update if amplitudes else ry_update_allocating
     prev, state = 1.0, (1.0, 0.0)
     Z_list, D_list = [], [D0]
     for k in range(1, L + 1):
@@ -340,8 +372,7 @@ def where_forward_batch(params, D0, cfg, sample_rngs):
             if cfg.a == 0.0:
                 prev = state * D
         else:
-            rotated = ry_update_where(*state, HALF_PI * (prev - phi(Z)))
-            D, *state = weak_update_allocating(*rotated, sin_g, U[k - 1])
+            D, *state = measure(rotate(*state, HALF_PI * (prev - phi(Z))), U[k - 1])
             prev = D
         Z_list.append(Z)
         D_list.append(D)

@@ -83,12 +83,13 @@ def test_criterion_2_measurement_statistics():
         g = rng.uniform(0.0, HALF_PI)
         sin_g = np.sin(g)
         p_oracle, post_plus, post_minus = weak_measure_oracle(v[0], v[1], g)
-        p_closed = 0.5 * (1 + (v[0] ** 2 - v[1] ** 2) * sin_g)
+        z, x = v[0] ** 2 - v[1] ** 2, 2 * v[0] * v[1]  # the Bloch pair the kernels carry
+        p_closed = 0.5 * (1 + z * sin_g)
         worst = max(worst, abs(p_closed - p_oracle))
-        d, oa, ob = weak_update(v[0], v[1], sin_g, 0.0)
-        worst = max(worst, float(np.max(np.abs(np.array([oa, ob]) - post_plus))))
-        d, oa, ob = weak_update(v[0], v[1], sin_g, 1.0 - 1e-12)
-        worst = max(worst, float(np.max(np.abs(np.array([oa, ob]) - post_minus))))
+        for u, post in ((0.0, post_plus), (1.0 - 1e-12, post_minus)):
+            d, oz, ox = weak_update(z, x, sin_g, np.cos(g), u)
+            want = (post[0] ** 2 - post[1] ** 2, 2 * post[0] * post[1])
+            worst = max(worst, float(np.max(np.abs(np.array([oz, ox]) - want))))
     assert worst < 1e-12
 
     # weak outcome frequencies on a 10-state x 9-g grid
@@ -100,18 +101,17 @@ def test_criterion_2_measurement_statistics():
     for g in np.linspace(0.0, HALF_PI, 9):
         sin_g = np.sin(g)
         for alpha, beta in states:
+            z, x = alpha**2 - beta**2, 2 * alpha * beta
             u = rng.random(n)
-            d, _, _ = weak_update(np.full(n, alpha), np.full(n, beta), sin_g, u)
-            p = 0.5 * (1 + (alpha**2 - beta**2) * sin_g)
+            d, _, _ = weak_update(np.full(n, z), np.full(n, x), sin_g, np.cos(g), u)
+            p = 0.5 * (1 + z * sin_g)
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(np.mean(d == 1.0) - p) <= max(3 * sigma, 2e-5)
 
-    # projective law P(+1) = cos^2(theta/2) after rotating |0>
-    from qmlp.quantum import projective_update
-
+    # projective law P(+1) = cos^2(theta/2) after rotating |0>: z = cos(theta), sin g = 1
     for theta in np.linspace(0.0, np.pi, 9):
-        alpha, beta = ry_update(np.ones(n), np.zeros(n), np.full(n, theta))
-        d, _, _ = projective_update(alpha, beta, rng.random(n))
+        z, x = ry_update(np.ones(n), np.zeros(n), np.full(n, theta))
+        d, _, _ = weak_update(z, x, 1.0, 0.0, rng.random(n))
         p = np.cos(theta / 2) ** 2
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
         assert abs(np.mean(d == 1.0) - p) <= max(3 * sigma, 2e-5)
@@ -133,10 +133,8 @@ def test_criterion_3_flip_probability_law():
         d_prev = np.where(rng.random(n) < 0.5, 1.0, -1.0)
         preact = rng.normal(size=n)
         target = np.where(preact >= 0, 1.0, -1.0)
-        alpha = np.where(d_prev > 0, 1.0, 0.0)
-        beta = np.where(d_prev > 0, 0.0, 1.0)
-        alpha, beta = ry_update(alpha, beta, HALF_PI * (d_prev - target))
-        d, _, _ = weak_update(alpha, beta, np.sin(g), rng.random(n))
+        z, x = ry_update(d_prev, np.zeros(n), HALF_PI * (d_prev - target))  # from the pole
+        d, _, _ = weak_update(z, x, np.sin(g), np.cos(g), rng.random(n))
         rate = float(np.mean(d != target))
         p = 0.5 * (1 - np.sin(g))
         sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)

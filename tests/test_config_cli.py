@@ -608,7 +608,7 @@ class TestTrainJob:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert err == (f"error: {path}: records another job (job.numerics: recorded {recorded}, "
-                       "asked 3); delete it or choose another output directory\n")
+                       "asked 4); delete it or choose another output directory\n")
         assert {p: p.read_bytes() for p in out.rglob("*") if p.is_file()} == before
 
     @pytest.mark.parametrize("command", ["train", "sweep"])
@@ -620,6 +620,11 @@ class TestTrainJob:
     def test_numerics_2_result_is_refused(self, command, tmp_path, small_idx_dir, capsys):
         # as a run with one evaluation stream per (sample, shot) recorded its job
         self.assert_numerics_refused(2, command, tmp_path, small_idx_dir, capsys)
+
+    @pytest.mark.parametrize("command", ["train", "sweep"])
+    def test_numerics_3_result_is_refused(self, command, tmp_path, small_idx_dir, capsys):
+        # as a run whose weak path carried amplitude pairs recorded its job
+        self.assert_numerics_refused(3, command, tmp_path, small_idx_dir, capsys)
 
     def test_checkpoint_meta_is_the_job_record(self, tmp_path, small_idx_dir):
         cfg = load_config(write_desk_config(tmp_path, small_idx_dir))
@@ -635,7 +640,7 @@ class TestTrainJob:
         assert len(settings) == 20
         for name, key in settings:
             assert records[name][key] == getattr(objects[name], key)
-        assert sorted(job) == ["data", "hyper", "numerics", "policy"] and job["numerics"] == 3
+        assert sorted(job) == ["data", "hyper", "numerics", "policy"] and job["numerics"] == 4
         leaves = len(job["data"]) + len(job["hyper"]) - 1 + len(job["hyper"]["quantum"])
         assert leaves + len(job["policy"]) == 20  # and nothing else
 
@@ -931,22 +936,33 @@ class TestEval:
         assert capsys.readouterr().out.splitlines() == [
             f"deterministic_error={det}", f"multi_shot_error={multi} shots=3 a=0.5 g={HALF_PI}"]
 
-    def test_numerics_2_checkpoint_evaluates(self, tmp_path, small_idx_dir, capsys):
-        cfg_path = write_desk_config(tmp_path, small_idx_dir)
-        assert main(["train", "--config", str(cfg_path), "--set", "quantum.a=0.5"]) == 0
+    @staticmethod
+    def assert_old_checkpoint_evaluates(recorded, quantum, tmp_path, idx_dir, capsys):
+        """A checkpoint whose meta records `numerics: recorded` evaluates as the current one."""
+        cfg_path = write_desk_config(tmp_path, idx_dir)
+        sets = [f"quantum.{key}={value}" for key, value in quantum.items()]
+        overrides = [arg for s in sets for arg in ("--set", s)]
+        assert main(["train", "--config", str(cfg_path), *overrides]) == 0
         ckpt = tmp_path / "out" / "checkpoint.qckpt"
         params, velocity, epoch, meta = load_checkpoint(ckpt)
-        old = tmp_path / "numerics2.qckpt"
-        save_checkpoint(old, params, velocity, epoch, {**meta, "numerics": 2})
+        old = tmp_path / f"numerics{recorded}.qckpt"
+        save_checkpoint(old, params, velocity, epoch, {**meta, "numerics": recorded})
         outputs = []
         for path in (ckpt, old):
             capsys.readouterr()
-            argv = ["eval", "--config", str(cfg_path), "--set", "quantum.a=0.5",
-                    "--checkpoint", str(path)]
+            argv = ["eval", "--config", str(cfg_path), *overrides, "--checkpoint", str(path)]
             assert main(argv) == 0
             outputs.append(capsys.readouterr().out)
-        assert meta["numerics"] == 3 and outputs[0] == outputs[1]
+        assert meta["numerics"] == 4 and outputs[0] == outputs[1]
         assert outputs[0].startswith("deterministic_error=")
+
+    def test_numerics_2_checkpoint_evaluates(self, tmp_path, small_idx_dir, capsys):
+        self.assert_old_checkpoint_evaluates(2, {"a": 0.5}, tmp_path, small_idx_dir, capsys)
+
+    def test_numerics_3_checkpoint_evaluates(self, tmp_path, small_idx_dir, capsys):
+        # at a weak-path point, where numerics 4 changed the arithmetic
+        self.assert_old_checkpoint_evaluates(3, {"a": 0.5, "g": 1.2}, tmp_path, small_idx_dir,
+                                             capsys)
 
     def test_eval_and_shots_curve(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

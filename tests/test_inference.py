@@ -31,10 +31,11 @@ POINTS = [
     (0.5, 1.57079632),
 ]
 
-# (layers, width, _EVAL_CHUNK) by test id: with 0 layers W[0] is the output layer; 40
-# samples in chunks of 16 leave one partial chunk; 3x5 draws an odd 15 float32 uniforms
-# per shot, so every other shot's block starts half-way through a 64-bit output
-NETS = {"3": (3, 8, 16), "0": (0, 8, 16), "3x5": (3, 5, 16), "3x5-chunk1": (3, 5, 1)}
+# (layers, width, _EVAL_QUBITS) by test id: a pass takes _EVAL_QUBITS // n samples, at
+# least 1, where n is W[0]'s row count, the output size 10 with 0 layers; 40 samples in
+# passes of 16 leave one partial pass; 3x5 draws an odd 15 float32 uniforms per shot, so
+# every other shot's block starts half-way through a 64-bit output
+NETS = {"3": (3, 8, 128), "0": (0, 8, 160), "3x5": (3, 5, 80), "3x5-chunk1": (3, 5, 4)}
 
 
 class Block:
@@ -49,7 +50,8 @@ class Block:
 
 
 def per_shot_passes(params, data, cfg, shots, seed):
-    """prediction_matrix as one self-contained forward pass per (chunk, shot).
+    """prediction_matrix as one self-contained forward pass per (16-sample chunk, shot);
+    as each sample has its own draws, the chunk size is immaterial.
 
     Sample i's shots * L * n uniforms are drawn from its generator,
     default_substream(seed, EVAL, i), in one call, and shot j's pass gets the
@@ -60,7 +62,7 @@ def per_shot_passes(params, data, cfg, shots, seed):
     draws = [default_substream(seed, EVAL, i).random((shots, L, n), dtype=dtype)
              for i in range(data.count)]
     preds = np.empty((data.count, shots), dtype=np.int64)
-    chunk = qmlp.inference._EVAL_CHUNK
+    chunk = 16
     for start in range(0, data.count, chunk):
         D0 = data.X[start : start + chunk].T
         for j in range(shots):
@@ -261,18 +263,31 @@ class TestPredictionMatrix:
             assert modal[i] == np.argmax(np.bincount(ref, minlength=10))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("layers, width, chunk", NETS.values(), ids=NETS.keys())
+    @pytest.mark.parametrize("layers, width, qubits", NETS.values(), ids=NETS.keys())
     @pytest.mark.parametrize("a, g", POINTS)
-    def test_equals_self_contained_passes(self, a, g, layers, width, chunk, monkeypatch):
-        monkeypatch.setattr(qmlp.inference, "_EVAL_CHUNK", chunk)
+    def test_equals_self_contained_passes(self, a, g, layers, width, qubits, monkeypatch):
+        monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", qubits)
         params = init_network_params(784, width, layers, 10, np.random.default_rng(20))
         data = encode_dataset(make_raw_dataset(40, seed=302))
         cfg = QuantumConfig(a=a, g=g)
         got = prediction_matrix(params, data, cfg, 5, seed=21)
         assert np.array_equal(got, per_shot_passes(params, data, cfg, 5, seed=21))
 
+    @pytest.mark.parametrize("a, g", POINTS[:2])
+    def test_pass_size_does_not_change_the_matrix(self, a, g, monkeypatch):
+        # a 2x8 net on 40 samples: one-sample passes, 16-sample passes with a partial last
+        # one, and a single pass
+        params = init_network_params(784, 8, 2, 10, np.random.default_rng(31))
+        data = encode_dataset(make_raw_dataset(40, seed=307))
+        cfg = QuantumConfig(a=a, g=g)
+        matrices = []
+        for qubits in (1, 8, 128, 320, 65_536):
+            monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", qubits)
+            matrices.append(prediction_matrix(params, data, cfg, 7, seed=32))
+        assert all(m.tobytes() == matrices[0].tobytes() for m in matrices[1:])
+
     def test_first_layer_once_per_chunk(self, monkeypatch):
-        monkeypatch.setattr(qmlp.inference, "_EVAL_CHUNK", 4)
+        monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 32)  # 4 samples per 2x8 pass
         params = init_network_params(784, 8, 2, 10, np.random.default_rng(22))
         data = encode_dataset(make_raw_dataset(8, seed=303))
         cfg = QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)

@@ -22,11 +22,13 @@ from qmlp.rng import FORWARD, substream
 
 from oracles import (
     QubitState,
+    amplitude_ry_update,
+    amplitude_weak_update,
     apply_ry,
     projective_measure,
     reference_forward,
     rotation_angle,
-    ry_update_where,
+    ry_update_allocating,
     weak_measure,
     weak_measure_oracle,
     weak_update_allocating,
@@ -38,6 +40,18 @@ def random_state(rng):
     v = rng.normal(size=2)
     v /= np.linalg.norm(v)
     return QubitState(float(v[0]), float(v[1]))
+
+
+def bloch(alpha, beta):
+    """The Bloch pair (z, x) of real amplitudes."""
+    alpha, beta = np.asarray(alpha), np.asarray(beta)
+    return alpha * alpha - beta * beta, 2 * alpha * beta
+
+
+def random_pairs(rng, n, dtype=np.float64):
+    """n Bloch pairs spread over the unit circle, as `dtype`."""
+    phi = rng.uniform(-np.pi, np.pi, n)
+    return np.cos(phi).astype(dtype), np.sin(phi).astype(dtype)
 
 
 def forward_one(params, x, cfg, rng):
@@ -142,38 +156,70 @@ class TestApplyRy:
         v = rng.normal(size=(2, 1000))
         alpha, beta = v / np.linalg.norm(v, axis=0)
         expected = {0.0: (alpha, beta), np.pi: (-beta, alpha), -np.pi: (beta, -alpha)}[theta]
-        out = ry_update(alpha, beta, np.full(1000, theta))
+        out = amplitude_ry_update(alpha, beta, np.full(1000, theta))
         assert np.array_equal(out[0], expected[0]) and np.array_equal(out[1], expected[1])
         for i in range(20):  # scalar amplitudes and angle
-            a, b = ry_update(float(alpha[i]), float(beta[i]), theta)
+            a, b = amplitude_ry_update(float(alpha[i]), float(beta[i]), theta)
             assert (float(a), float(b)) == (float(expected[0][i]), float(expected[1][i]))
 
+
+class TestBlochRotation:
+    def test_turns_the_amplitude_pair(self):
+        rng = np.random.default_rng(31)
+        v = rng.normal(size=(2, 1000))
+        alpha, beta = v / np.linalg.norm(v, axis=0)
+        theta = rng.uniform(-2 * np.pi, 2 * np.pi, 1000)
+        got = ry_update(*bloch(alpha, beta), theta)
+        want = bloch(*amplitude_ry_update(alpha, beta, theta))
+        for x, y in zip(got, want):
+            assert np.allclose(x, y, rtol=0, atol=1e-14)
+
+    def test_exact_angles(self):
+        rng = np.random.default_rng(32)
+        z, x = random_pairs(rng, 1000)
+        assert all(np.array_equal(a, b) for a, b in zip(ry_update(z, x, np.zeros(1000)), (z, x)))
+        for theta in (np.pi, -np.pi):  # sin(pi) is 1.2e-16, not 0: no pole is exact here
+            for a, b in zip(ry_update(z, x, np.full(1000, theta)), (-z, -x)):
+                assert np.allclose(a, b, rtol=0, atol=1e-15)
+
+    def test_norm_preserved(self):
+        rng = np.random.default_rng(33)
+        z, x = ry_update(*random_pairs(rng, 1000), rng.uniform(-7, 7, 1000))
+        assert np.max(np.abs(z * z + x * x - 1.0)) < 1e-14
+
     @pytest.mark.parametrize(
-        "kernel", [pm1, sign, ry_update, quantum_forward_batch], ids=lambda f: f.__name__
+        "kernel", [pm1, sign, ry_update, weak_update, quantum_forward_batch],
+        ids=lambda f: f.__name__,
     )
-    def test_no_where_and_ry_update_has_no_branch(self, kernel):
+    def test_no_where_and_no_branch_in_the_channels(self, kernel):
         tree = ast.parse(inspect.getsource(kernel))
         names = [
             n.func.attr if isinstance(n.func, ast.Attribute) else getattr(n.func, "id", None)
             for n in ast.walk(tree) if isinstance(n, ast.Call)
         ]
         assert "where" not in names
-        if kernel is ry_update:
+        if kernel in (ry_update, weak_update):
             assert not any(isinstance(n, (ast.If, ast.IfExp)) for n in ast.walk(tree))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_bytes_equal_the_select_form(self, dtype):
+    def test_bytes_equal_the_allocating_form(self, dtype):
         rng = np.random.default_rng(4)
         exact = [0.0, np.pi, -np.pi, float(np.float32(np.pi)), -float(np.float32(np.pi))]
         theta = np.concatenate([np.repeat(exact, 200), rng.uniform(-2 * np.pi, 2 * np.pi, 4000)])
-        v = rng.normal(size=(2, theta.size))
-        alpha, beta = (v / np.linalg.norm(v, axis=0)).astype(dtype)
+        z, x = random_pairs(rng, theta.size, dtype)
         theta = theta.astype(dtype)
-        for got, want in zip(ry_update(alpha, beta, theta), ry_update_where(alpha, beta, theta)):
+        for got, want in zip(ry_update(z, x, theta), ry_update_allocating(z, x, theta)):
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
-        for t in exact:  # 0-d angle, scalar amplitudes
-            for got, want in zip(ry_update(1.0, 0.0, dtype(t)), ry_update_where(1.0, 0.0, dtype(t))):
+        for t in exact:  # 0-d angle, scalar pair
+            for got, want in zip(ry_update(1.0, 0.0, dtype(t)),
+                                 ry_update_allocating(1.0, 0.0, dtype(t))):
+                assert np.asarray(got).dtype == dtype
                 assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        for i in range(50):  # 0-d everything
+            got = ry_update(z[i], x[i], theta[i])
+            want = ry_update_allocating(z[i], x[i], theta[i])
+            assert all(np.asarray(a).tobytes() == np.asarray(b).tobytes()
+                       for a, b in zip(got, want))
 
 
 class TestProjectiveMeasure:
@@ -204,7 +250,7 @@ class TestProjectiveMeasure:
         rng = np.random.default_rng(11)
         n = 100000
         for theta in np.linspace(0.0, np.pi, 9):
-            alpha, beta = ry_update(np.ones(n), np.zeros(n), np.full(n, theta))
+            alpha, beta = amplitude_ry_update(np.ones(n), np.zeros(n), np.full(n, theta))
             d, _, _ = projective_update(alpha, beta, rng.random(n))
             p = np.cos(theta / 2) ** 2
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
@@ -249,30 +295,29 @@ class TestWeakMeasure:
             s = random_state(rng)
             g = rng.uniform(0.0, HALF_PI)
             p_plus, post_plus, post_minus = weak_measure_oracle(s.alpha, s.beta, g)
-            sin_g = np.sin(g)
-            z = s.alpha**2 - s.beta**2
+            sin_g, cos_g = np.sin(g), np.cos(g)
+            z, x = bloch(s.alpha, s.beta)
             assert abs(0.5 * (1 + z * sin_g) - p_plus) < 1e-12
             # force each outcome via the uniform draw and compare post-states
-            d, oa, ob = weak_update(s.alpha, s.beta, sin_g, 0.0)  # u=0 -> d=+1
-            assert d == 1.0
-            assert np.allclose([oa, ob], post_plus, atol=1e-12)
-            d, oa, ob = weak_update(s.alpha, s.beta, sin_g, 1.0 - 1e-12)  # -> d=-1
-            assert d == -1.0
-            assert np.allclose([oa, ob], post_minus, atol=1e-12)
+            for u, d_want, post in ((0.0, 1.0, post_plus), (1.0 - 1e-12, -1.0, post_minus)):
+                d, oz, ox = weak_update(z, x, sin_g, cos_g, u)
+                assert d == d_want
+                assert np.allclose([oz, ox], bloch(*post), rtol=0, atol=1e-12)
+                d, oa, ob = amplitude_weak_update(s.alpha, s.beta, sin_g, u)
+                assert d == d_want
+                assert np.allclose([oa, ob], post, rtol=0, atol=1e-12)
 
     def test_outcome_law_grid(self):
-        # empirical frequencies match (1 + d<z>sin g)/2 on 10 states x 9 g
+        # empirical frequencies match (1 + d z sin g)/2 on 10 states x 9 g
         rng = np.random.default_rng(16)
         n = 100000
         states = [random_state(rng) for _ in range(10)]
         for g in np.linspace(0.0, HALF_PI, 9):
-            sin_g = np.sin(g)
             for s in states:
+                z, x = bloch(s.alpha, s.beta)
                 u = rng.random(n)
-                d, _, _ = weak_update(
-                    np.full(n, s.alpha), np.full(n, s.beta), sin_g, u
-                )
-                p = 0.5 * (1 + (s.alpha**2 - s.beta**2) * sin_g)
+                d, _, _ = weak_update(np.full(n, z), np.full(n, x), np.sin(g), np.cos(g), u)
+                p = 0.5 * (1 + z * np.sin(g))
                 sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
                 assert abs(np.mean(d == 1.0) - p) <= max(3 * sigma, 2e-5)
 
@@ -282,24 +327,38 @@ class TestWeakMeasure:
             s = random_state(rng)
             out = weak_measure(s, rng.uniform(0, HALF_PI), rng)
             assert abs(out.post_state.norm_sq() - 1.0) < 1e-12
+        z, x = random_pairs(rng, 1000)
+        g = rng.uniform(0, HALF_PI, 1000)
+        _, z, x = weak_update(z, x, np.sin(g), np.cos(g), rng.random(1000))
+        assert np.max(np.abs(z * z + x * x - 1.0)) < 1e-12
+
+    def test_limits_are_exact(self):
+        rng = np.random.default_rng(20)
+        z, x = random_pairs(rng, 1000)
+        d, oz, ox = weak_update(z, x, 0.0, 1.0, rng.random(1000))  # g = 0: a fair coin
+        assert np.array_equal(oz, z) and np.array_equal(ox, x)
+        assert abs(np.mean(d == 1.0) - 0.5) <= 3 * np.sqrt(0.25 / 1000)
+        for seed in range(30):  # g = pi/2 on |0>
+            d, oz, ox = weak_update(1.0, 0.0, 1.0, 0.0, np.random.default_rng(seed).random())
+            assert (d, oz, ox) == (1.0, 1.0, 0.0)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_bytes_equal_the_allocating_form(self, dtype):
         rng = np.random.default_rng(19)
-        v = rng.normal(size=(2, 5000))
-        alpha, beta = (v / np.linalg.norm(v, axis=0)).astype(dtype)
+        z, x = random_pairs(rng, 5000, dtype)
         u = rng.random(5000, dtype=dtype)
-        for sin_g in [dtype(0), dtype(1)] + [dtype(np.sin(g)) for g in rng.uniform(0, HALF_PI, 4)]:
-            cases = [(alpha, beta, u), (alpha[0], beta[0], u)]  # arrays; scalar amplitudes
-            cases += [(alpha[i], beta[i], u[i]) for i in range(50)]  # 0-d everything
+        gs = [0.0, HALF_PI] + list(rng.uniform(0, HALF_PI, 4))  # sin g = 0 and 1 first
+        for sin_g, cos_g in [(dtype(np.sin(g)), dtype(np.cos(g))) for g in gs]:
+            cases = [(z, x, u), (z[0], x[0], u)]  # arrays; a scalar pair
+            cases += [(z[i], x[i], u[i]) for i in range(50)]  # 0-d everything
             for args in cases:
-                got = weak_update(args[0], args[1], sin_g, args[2])
-                want = weak_update_allocating(args[0], args[1], sin_g, args[2])
-                for x, y in zip(got, want):
-                    assert np.asarray(x).dtype == dtype
-                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes()
+                got = weak_update(args[0], args[1], sin_g, cos_g, args[2])
+                want = weak_update_allocating(args[0], args[1], sin_g, cos_g, args[2])
+                for x_got, x_want in zip(got, want):
+                    assert np.asarray(x_got).dtype == dtype
+                    assert np.asarray(x_got).tobytes() == np.asarray(x_want).tobytes()
 
-    def test_scalar_matches_vector_core(self):
+    def test_matches_the_amplitude_reference(self):
         rng = np.random.default_rng(18)
         for _ in range(100):
             s = random_state(rng)
@@ -307,23 +366,24 @@ class TestWeakMeasure:
             seed = int(rng.integers(0, 1 << 32))
             out = weak_measure(s, g, np.random.default_rng(seed))
             u = np.random.default_rng(seed).random()
-            d, oa, ob = weak_update(s.alpha, s.beta, np.sin(g), u)
+            p_plus = 0.5 * (1 + s.z_expectation() * np.sin(g))
+            if abs(u - p_plus) < 1e-9:  # the two forms round p(+1) differently
+                continue
+            d, oz, ox = weak_update(*bloch(s.alpha, s.beta), np.sin(g), np.cos(g), u)
             assert out.d == d
-            assert (out.post_state.alpha, out.post_state.beta) == (float(oa), float(ob))
+            want = bloch(out.post_state.alpha, out.post_state.beta)
+            assert np.allclose([oz, ox], want, rtol=0, atol=1e-12)
 
 
 class TestFlipProbability:
     def flip_rate(self, g, trials, seed):
-        """Rotate basis-state neurons with a=0, weakly measure, count flips."""
+        """Rotate pole neurons with a=0, weakly measure, count flips."""
         rng = np.random.default_rng(seed)
         d_prev = np.where(rng.random(trials) < 0.5, 1.0, -1.0)
         preact = rng.normal(size=trials)
         target = np.where(preact >= 0, 1.0, -1.0)
-        alpha = np.where(d_prev > 0, 1.0, 0.0)
-        beta = np.where(d_prev > 0, 0.0, 1.0)
-        theta = HALF_PI * (d_prev - target)
-        alpha, beta = ry_update(alpha, beta, theta)
-        d, _, _ = weak_update(alpha, beta, np.sin(g), rng.random(trials))
+        z, x = ry_update(d_prev, np.zeros(trials), HALF_PI * (d_prev - target))
+        d, _, _ = weak_update(z, x, np.sin(g), np.cos(g), rng.random(trials))
         return float(np.mean(d != target))
 
     def test_flip_rate_matches_law(self):
@@ -408,7 +468,7 @@ class TestQuantumForward:
     @pytest.mark.parametrize(
         "a, g",
         [(0.316227766, HALF_PI), (0.0, 5 * np.pi / 19), (0.4641588834, 9 * np.pi / 19)],
-        ids=["projective", "a-zero-weak", "amplitudes"],
+        ids=["projective", "a-zero-weak", "bloch"],
     )
     def test_bytes_equal_the_column_scatter_form(self, a, g, dtype):
         # B runs over the edges of the 64-sample draw blocks; L * n = 15 is odd
@@ -477,7 +537,7 @@ class TestQuantumForward:
         for d_before, d_after in zip(before.D, after.D):
             assert np.array_equal(d_before, d_after)
         assert np.array_equal(before.F, after.F)
-        with pytest.raises(AssertionError):  # the weak path still rotates amplitudes
+        with pytest.raises(AssertionError):  # the weak path still rotates Bloch pairs
             quantum_forward_batch(params, X, QuantumConfig(a=0.3, g=1.0), streams())
 
     @pytest.mark.parametrize("g", [0.0, np.pi / 19, 5 * np.pi / 19, 9 * np.pi / 19])
@@ -500,7 +560,7 @@ class TestQuantumForward:
         for d_before, d_after in zip(before.D, after.D):
             assert np.array_equal(d_before, d_after)
         assert np.array_equal(before.F, after.F)
-        with pytest.raises(AssertionError):  # a > 0 with g < pi/2 still rotates amplitudes
+        with pytest.raises(AssertionError):  # a > 0 with g < pi/2 still rotates Bloch pairs
             quantum_forward_batch(params, X, QuantumConfig(a=0.3, g=1.0), streams())
 
     def test_a_zero_flip_rates(self):
@@ -596,11 +656,11 @@ class TestQuantumForward:
             got_z, z_mean = first_layer(params, X, cfg)
             assert np.array_equal(got_z, Z)
             assert np.array_equal(z_mean, np.sin(HALF_PI * phi_a(Z, cfg.a)))
-        got_z, (alpha, beta) = first_layer(params, X, QuantumConfig(a=0.3, g=1.0))
+        got_z, (z, x) = first_layer(params, X, QuantumConfig(a=0.3, g=1.0))
         theta = HALF_PI * (1.0 - phi_a(Z, 0.3))
         assert np.array_equal(got_z, Z)
-        assert np.allclose(alpha, np.cos(theta / 2), rtol=0, atol=1e-15)
-        assert np.allclose(beta, np.sin(theta / 2), rtol=0, atol=1e-15)
+        assert np.allclose(z, np.cos(theta), rtol=0, atol=1e-15)
+        assert np.allclose(x, np.sin(theta), rtol=0, atol=1e-15)
         with pytest.raises(ShapeMismatch):
             first_layer(params, X[:5], QuantumConfig(a=0.3))
 
@@ -608,20 +668,41 @@ class TestQuantumForward:
         # instrument by re-running the layer updates manually
         rng = np.random.default_rng(24)
         params = init_network_params(6, 5, 2, 3, rng)
-        x = rng.uniform(0, 1, size=6)
+        x_in = rng.uniform(0, 1, size=6)
         cfg = QuantumConfig(a=0.5, g=0.7)
         gen = substream(3, FORWARD, 0, 0, 0)
-        alpha, beta = np.ones(5), np.zeros(5)
-        d_prev = np.asarray(x)
+        z, x = np.ones(5), np.zeros(5)
+        d_prev = np.asarray(x_in)
         for k in range(1, 3):
-            z = params.W[k - 1] @ d_prev
+            pre = params.W[k - 1] @ d_prev
             base = 1.0 if k == 1 else d_prev
-            theta = HALF_PI * (base - phi_a(z, cfg.a))
-            alpha, beta = ry_update(alpha, beta, theta)
-            assert np.max(np.abs(alpha**2 + beta**2 - 1.0)) < 1e-12
-            d, alpha, beta = weak_update(alpha, beta, np.sin(cfg.g), gen.random(5))
-            assert np.max(np.abs(alpha**2 + beta**2 - 1.0)) < 1e-12
+            z, x = ry_update(z, x, HALF_PI * (base - phi_a(pre, cfg.a)))
+            assert np.max(np.abs(z * z + x * x - 1.0)) < 1e-12
+            d, z, x = weak_update(z, x, np.sin(cfg.g), np.cos(cfg.g), gen.random(5))
+            assert np.max(np.abs(z * z + x * x - 1.0)) < 1e-12
             d_prev = d
+
+    @pytest.mark.parametrize("a, g", [(0.4641588834, 9 * np.pi / 19), (0.3, 1.0), (2.0, 0.3)])
+    def test_outcome_statistics_match_the_amplitude_reference(self, a, g):
+        # The Bloch pass and the amplitude-level pass sample the same law from the same
+        # draws but round differently: an outcome differs only where a draw falls within
+        # rounding of its probability, and a difference then spreads to later layers.
+        rng = np.random.default_rng(34)
+        params = init_network_params(20, 64, 3, 10, rng)
+        B = 500
+        X = rng.uniform(0, 1, size=(20, B)).astype(np.float32)
+        cfg = QuantumConfig(a=a, g=g)
+        trace = quantum_forward_batch(params, X, cfg, [substream(7, FORWARD, s) for s in range(B)])
+        _, d_ref, _ = where_forward_batch(params, X, cfg, [substream(7, FORWARD, s)
+                                                            for s in range(B)], amplitudes=True)
+        for k in range(1, 4):
+            got, want = trace.D[k], d_ref[k]
+            assert got.dtype == want.dtype == np.float32
+            assert np.mean(got != want) < 1e-3, f"layer {k}"
+            # the +1 frequency of each layer, against the reference's binomial spread
+            p = np.mean(want == 1.0)
+            sigma = np.sqrt(p * (1 - p) / want.size)
+            assert abs(np.mean(got == 1.0) - p) <= 3 * sigma, f"layer {k}"
 
 
 class TestQuantumConfig:

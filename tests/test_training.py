@@ -277,8 +277,9 @@ class TestFloat32:
         # the pole rotation by +-pi/2 gives <Z> = +-1 exactly, so p(+1) is exactly 0 or 1
         assert np.sin(np.float32(np.pi / 2)) == 1
         assert np.sin(np.float32(-np.pi / 2)) == -1
-        # at sin g = 1 the weak update empties the amplitude of the outcome not seen
-        assert np.sqrt(np.float32(1) - np.float32(1)) == 0
+        # at sin g = 1 the weak update takes z to the outcome d exactly: (z + d) / (1 + d z)
+        z = np.float32(0.3)
+        assert (z + 1) / (1 + z) == 1 and (z - 1) / (1 - z) == -1
 
     @pytest.mark.parametrize("a, g", PAPER_POINTS)
     def test_one_step_and_one_evaluation_stay_float32(self, a, g, tiny_data, monkeypatch):
