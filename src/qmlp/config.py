@@ -98,6 +98,13 @@ def _real(value) -> float:
     return float(value)
 
 
+def _listed(value):
+    """A YAML sequence as given; a string or a mapping would be iterated into a grid."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
 # Every config key, dotted: a file's `section: {key: ...}` and `--set section.key=...` name it
 _SCHEMA = {
     "data.train_images": _path,
@@ -120,9 +127,9 @@ _SCHEMA = {
     "inference.mode": str,
     "inference.shots": _integer,
     "inference.seed": _seed,
-    "sweep.a_values": lambda v: tuple(_real(x) for x in v),
-    "sweep.g_values": lambda v: tuple(parse_angle(x) for x in v),
-    "sweep.seeds": lambda v: tuple(_seed(x) for x in v),
+    "sweep.a_values": lambda v: tuple(_real(x) for x in _listed(v)),
+    "sweep.g_values": lambda v: tuple(parse_angle(x) for x in _listed(v)),
+    "sweep.seeds": lambda v: tuple(_seed(x) for x in _listed(v)),
     "out_dir": _path,
 }
 _SECTIONS = {key.partition(".")[0] for key in _SCHEMA if "." in key}

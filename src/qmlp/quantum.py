@@ -15,6 +15,8 @@ Conventions
   The ancilla (prepared in an equal superposition) is never represented:
   its measurement statistics and back-action are applied in closed form.
   No joint state vector is ever materialized.
+* Every outcome is projective_update(z, u): +1 where the draw u < (1 + z) / 2,
+  else -1, for <Z> = z. A weak measurement samples its ancilla, at z sin g.
 * Every measurement consumes exactly one uniform draw from the supplied
   generator. A forward pass consumes draws layer-major, neuron index
   ascending. Both facts are reproducibility contracts.
@@ -22,7 +24,7 @@ Conventions
 The channel is tuned by two knobs: the activation stretch `a` (a = 0 gives
 hard sign targets, so rotation angles are 0 or +-pi) and the entanglement
 angle `g` (g = pi/2 makes the ancilla measurement equivalent to a projective
-measurement of the neuron). Outcome +1 has probability (1 + z sin g) / 2.
+measurement of the neuron).
 
 Pole rule: where g = pi/2 or a = 0, measurement leaves every qubit on a pole
 (|0> or |1>, up to sign), so x = 0 and only z is carried. Let s be the pole
@@ -99,19 +101,9 @@ def ry_update(z, x, theta):
     return out_z, s
 
 
-def projective_update(alpha, beta, u):
-    """Projectively measure: d = +1 where u < alpha^2, post-state the basis state."""
-    p_plus = np.asarray(alpha) ** 2
-    d = pm1(np.asarray(u) < p_plus, p_plus.dtype)
-    out_a = (d > 0).astype(d.dtype)
-    out_b = (d < 0).astype(d.dtype)
-    return d, out_a, out_b
-
-
-def _outcome(zs, u):
-    """Measurement outcomes in the dtype of zs = z sin_g: d = +1 where u < (1 + zs) / 2,
-    else -1."""
-    p_plus = zs + 1.0  # then bitwise 0.5 * (1 + zs)
+def projective_update(z, u):
+    """Measurement outcomes in the dtype of z: d = +1 where u < (1 + z) / 2, else -1."""
+    p_plus = z + 1.0  # then bitwise 0.5 * (1 + z)
     p_plus *= 0.5
     return pm1(np.asarray(u) < p_plus, p_plus.dtype)
 
@@ -119,13 +111,13 @@ def _outcome(zs, u):
 def weak_update(z, x, sin_g, cos_g, u):
     """Ancilla-mediated weak measurement of Bloch pairs with strength sin_g.
 
-    Outcome d = +-1 with probability (1 + d z sin_g) / 2. The pair becomes
-    ((z + d sin_g) / D, x cos_g / D) with D = 1 + d z sin_g, twice the
-    probability of the sampled outcome, so D > 0. The arithmetic is in the
-    dtype of z; sin_g and cos_g must not be wider.
+    The outcome d = projective_update(z sin_g, u) samples the ancilla. The
+    pair becomes ((z + d sin_g) / D, x cos_g / D) with D = 1 + d z sin_g,
+    twice the probability of the sampled outcome, so D > 0. The arithmetic
+    is in the dtype of z; sin_g and cos_g must not be wider.
     """
     zs = np.multiply(z, sin_g)
-    d = _outcome(zs, u)
+    d = projective_update(zs, u)
     denom = d * zs  # bitwise (d z) sin_g, as d = +-1
     denom += 1.0
     out_z = d * sin_g
@@ -223,7 +215,7 @@ def quantum_forward_batch(
             Z = params.W[k - 1] @ D_list[k - 1]
             state = _rotate(Z, cfg, prev, state)
         if cfg.on_poles or k == L:  # only z is read: state is z, or the last layer's pair
-            D = _outcome((state if cfg.on_poles else state[0]) * sin_g, U[k - 1])
+            D = projective_update((state if cfg.on_poles else state[0]) * sin_g, U[k - 1])
             if cfg.a == 0.0 and k < L:  # the pole did not move; at g = pi/2 this keeps t = 1
                 prev = state * D
         else:  # state is the Bloch pair (z, x)

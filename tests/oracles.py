@@ -9,8 +9,9 @@ every batched kernel has an independent reference:
   `ste_backward` act on a single input vector;
 * `QubitState`, `rotation_angle`, `apply_ry`, `projective_measure` and
   `weak_measure` model one qubit with scalar amplitudes, through
-  `amplitude_ry_update` and `amplitude_weak_update`, the amplitude-level
-  reference for the library's Bloch-pair kernels;
+  `amplitude_ry_update`, `amplitude_projective_update` and
+  `amplitude_weak_update`, the amplitude-level reference for the library's
+  Bloch-pair and outcome kernels;
 * `reference_forward` is the per-neuron scalar loop of the quantum forward
   pass in the documented draw order (layer-major, neuron ascending), on
   amplitudes;
@@ -38,7 +39,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from qmlp.network import BatchTrace, NetworkParams, ShapeMismatch, htanh, sign
-from qmlp.quantum import HALF_PI, phi_a, projective_update
+from qmlp.quantum import HALF_PI, phi_a
 from qmlp.rng import EVAL, mix64
 
 def as_float64(params: NetworkParams) -> NetworkParams:
@@ -202,7 +203,7 @@ def projective_measure(state: QubitState, rng: np.random.Generator) -> Measureme
 
     Consumes exactly one uniform draw.
     """
-    d, a, b = projective_update(state.alpha, state.beta, rng.random())
+    d, a, b = amplitude_projective_update(state.alpha, state.beta, rng.random())
     return MeasurementOutcome(d=int(d), post_state=QubitState(float(a), float(b)))
 
 
@@ -299,6 +300,14 @@ def amplitude_ry_update(alpha, beta, theta):
     c = np.where(np.abs(theta) == np.pi, 0.0, np.cos(theta / 2))
     s = np.sin(theta / 2)
     return c * alpha - s * beta, s * alpha + c * beta
+
+
+def amplitude_projective_update(alpha, beta, u):
+    """Projective measurement of amplitude arrays: d = +1 where u < alpha^2, and the
+    post-state the basis state |d>."""
+    p_plus = np.asarray(alpha) ** 2
+    d = pm1_where(np.asarray(u) < p_plus, p_plus.dtype)
+    return d, (d > 0).astype(d.dtype), (d < 0).astype(d.dtype)
 
 
 def amplitude_weak_update(alpha, beta, sin_g, u):

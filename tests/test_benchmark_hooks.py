@@ -89,3 +89,31 @@ def test_benchmark_call_shapes(tmp_path):
     # stamped by module attribute, and the sweep table's header the workload checks
     assert callable(training.sgd_momentum_step) and callable(inference.quantum_forward_batch)
     assert sweep.CSV_HEADER.startswith("a,g,seed,")
+
+
+def test_tracer_times_each_layers_outcome_sampling():
+    """Every layer samples its outcomes through the traced `projective_update`.
+
+    On the pole path each layer calls it from the forward pass. On the weak path
+    layers 1 and 2 call it inside `weak_update`, and the last layer, which only
+    samples, calls it from the forward pass.
+    """
+    tracing = load_tracing()
+    gen = np.random.default_rng(73)
+    params = network.init_network_params(6, 8, 3, 3, gen)
+    X = gen.uniform(0, 1, size=(6, 4))
+    fwd = "quantum.forward_batch"
+    for cfg, parents in (
+        (quantum.QuantumConfig(a=0.316227766), [fwd, fwd, fwd]),
+        (quantum.QuantumConfig(a=0.4641588834, g=9 * math.pi / 19),
+         ["quantum.weak_update.L1", "quantum.weak_update.L2", fwd]),
+    ):
+        tracer = tracing.Tracer()
+        with tracer:
+            streams = [rng.substream(5, rng.FORWARD, s) for s in range(4)]
+            quantum.quantum_forward_batch(params, X, cfg, streams)
+        assert tracer.accounting_errors() == 0
+        parent_of = {name: parent for name, _, _, parent, _ in tracer.spans}
+        for k, parent in enumerate(parents, start=1):
+            idx = parent_of[f"quantum.projective_update.L{k}"]
+            assert tracer.spans[idx][0] == parent, f"layer {k} at {cfg}"

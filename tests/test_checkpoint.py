@@ -58,6 +58,13 @@ def test_truncated_payload(tmp_path, params):
         load_checkpoint(path)
 
 
+def test_truncated_header(tmp_path, params):
+    path = tmp_path / "trunc.qckpt"
+    path.write_bytes(checkpoint_bytes(params)[:20])
+    with pytest.raises(CheckpointCorrupt, match="truncated header"):
+        load_checkpoint(path)
+
+
 def test_shape_that_overflows_int64_is_truncation(tmp_path):
     side = 1 << 32  # side * side wraps to 0 in int64
     header = json.dumps({"epoch": 0, "meta": {}, "weights": [[side, side]],

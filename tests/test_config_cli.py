@@ -156,11 +156,35 @@ class TestConfig:
             ("data.train_labels=[a]", "data.train_labels: expected a non-empty path, got ['a']"),
             ("data.val_images=''", "data.val_images: expected a non-empty path, got ''"),
             ("data.val_labels=3", "data.val_labels: expected a non-empty path, got 3"),
+            ("sweep.a_values='05'", "bad value for sweep.a_values: expected a list, got '05'"),
+            ("sweep.g_values=pi/2", "bad value for sweep.g_values: expected a list, got 'pi/2'"),
+            ("sweep.seeds={1: 2}", "bad value for sweep.seeds: expected a list, got {1: 2}"),
+            ("sweep.seeds='12'", "bad value for sweep.seeds: expected a list, got '12'"),
+            ("a..b=1", "bad --set key 'a..b'"),
+            (".x=1", "bad --set key '.x'"),
+            ("model.hidden_layers=-1", "hidden_layers must be >= 0, got -1"),
+            ("model.hidden_size=0", "hidden_size must be >= 1, got 0"),
         ],
     )
     def test_every_value_is_checked_on_load(self, override, message):
         with pytest.raises(ConfigInvalid, match=re.escape(message)):
             load_config(None, [override])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (None, "cannot read config"),
+            ("training: {epochs: 3\n", "cannot parse config"),
+            ("- training\n- quantum\n", "must be a mapping"),
+        ],
+    )
+    def test_unusable_config_file_is_refused(self, text, message, tmp_path):
+        path = tmp_path / "run.yaml"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(ConfigInvalid, match=message) as refused:
+            load_config(path)
+        assert str(path) in str(refused.value)
 
     def test_set_overrides(self):
         raw = apply_overrides({}, ["training.epochs=3", "quantum.a=0.25"])
@@ -783,6 +807,7 @@ class TestSweep:
             ("sweep.a_values=[-1.0]", "stretch a must be finite and >= 0"),
             ("sweep.a_values=[.nan]", "stretch a must be finite and >= 0"),
             ("sweep.g_values=[pi/2, 2.0]", "angle g must be in [0, pi/2], got 2.0"),
+            ("sweep.seeds={1: 2}", "bad value for sweep.seeds: expected a list, got {1: 2}"),
         ],
     )
     def test_bad_grid_is_refused_before_any_cell(
@@ -1113,6 +1138,24 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "do not chain" in err
 
+    @pytest.mark.parametrize(
+        "overrides, rc",
+        [(["quantum.a=0.5"], 1), ([], 0), (["quantum.a=0.5", "inference.mode=deterministic"], 0)],
+    )
+    def test_checkpoint_of_unequal_hidden_widths(
+        self, overrides, rc, tmp_path, small_idx_dir, capsys
+    ):
+        # the quantum pass reuses one qubit per neuron; a deterministic pass needs none
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        ckpt = tmp_path / "uneven.qckpt"
+        rng = np.random.default_rng(41)
+        W = [rng.uniform(-0.1, 0.1, size=s) for s in ((8, 784), (4, 8), (10, 4))]
+        save_checkpoint(ckpt, NetworkParams(W))
+        sets = [arg for s in overrides for arg in ("--set", s)]
+        assert main(["eval", "--config", str(cfg_path), *sets, "--checkpoint", str(ckpt)]) == rc
+        err = capsys.readouterr().err
+        assert ("hidden widths [8, 4] differ" in err) == (rc == 1)
+
     def test_corrupt_checkpoint(self, tmp_path, small_idx_dir, capsys):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
         bad = tmp_path / "bad.qckpt"
@@ -1181,6 +1224,10 @@ class TestFetchCheck:
         bad.write_bytes((small_idx_dir / "train-labels-idx1-ubyte").read_bytes() + b"\x00\x00")
         assert main(["fetch-check", str(bad)]) == 1
         assert f"{bad}: 2 trailing bytes after label payload" in capsys.readouterr().err
+
+    def test_no_files_fails(self, capsys):
+        assert main(["fetch-check"]) == 1
+        assert capsys.readouterr().err == "error: no files given (pass paths or --config)\n"
 
     def test_truncated_fails(self, small_idx_dir, tmp_path, capsys):
         src = (small_idx_dir / "train-images-idx3-ubyte").read_bytes()

@@ -22,6 +22,7 @@ from qmlp.rng import FORWARD, substream
 
 from oracles import (
     QubitState,
+    amplitude_projective_update,
     amplitude_ry_update,
     amplitude_weak_update,
     apply_ry,
@@ -240,7 +241,7 @@ class TestProjectiveMeasure:
         rng = np.random.default_rng(10)
         u = rng.random(100000)
         amp = 1 / np.sqrt(2)
-        d, _, _ = projective_update(np.full(100000, amp), np.full(100000, amp), u)
+        d, _, _ = amplitude_projective_update(np.full(100000, amp), np.full(100000, amp), u)
         freq = np.mean(d == 1.0)
         sigma = np.sqrt(0.25 / 100000)
         assert abs(freq - 0.5) <= 3 * sigma
@@ -251,7 +252,10 @@ class TestProjectiveMeasure:
         n = 100000
         for theta in np.linspace(0.0, np.pi, 9):
             alpha, beta = amplitude_ry_update(np.ones(n), np.zeros(n), np.full(n, theta))
-            d, _, _ = projective_update(alpha, beta, rng.random(n))
+            u = rng.random(n)
+            d, _, _ = amplitude_projective_update(alpha, beta, u)
+            # the kernel samples the same law from <Z>; no draw here lies within rounding
+            assert np.array_equal(projective_update(bloch(alpha, beta)[0], u), d)
             p = np.cos(theta / 2) ** 2
             sigma = np.sqrt(max(p * (1 - p), 1e-12) / n)
             assert abs(np.mean(d == 1.0) - p) <= max(3 * sigma, 2e-5)
@@ -495,7 +499,7 @@ class TestQuantumForward:
             # the paper's weak-path points: exact angles next to generic ones
             (3, QuantumConfig(a=0.0, g=5 * np.pi / 19)),
             (3, QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)),
-            # projective nets against the ry_update + projective_update oracle
+            # projective nets against the amplitude_projective_update oracle
             (3, QuantumConfig(a=0.1)),
             (3, QuantumConfig(a=0.316227766)),
             (3, QuantumConfig(a=1.0)),
@@ -532,7 +536,7 @@ class TestQuantumForward:
 
         before = quantum_forward_batch(params, X, cfg, streams())
         monkeypatch.setattr(qmlp.quantum, "ry_update", refuse)
-        monkeypatch.setattr(qmlp.quantum, "projective_update", refuse)
+        monkeypatch.setattr(qmlp.quantum, "weak_update", refuse)
         after = quantum_forward_batch(params, X, cfg, streams())
         for d_before, d_after in zip(before.D, after.D):
             assert np.array_equal(d_before, d_after)
@@ -554,7 +558,7 @@ class TestQuantumForward:
             raise AssertionError("amplitude kernel called")
 
         before = quantum_forward_batch(params, X, cfg, streams())
-        for name in ("ry_update", "weak_update", "projective_update"):
+        for name in ("ry_update", "weak_update"):
             monkeypatch.setattr(qmlp.quantum, name, refuse)
         after = quantum_forward_batch(params, X, cfg, streams())
         for d_before, d_after in zip(before.D, after.D):
