@@ -2,18 +2,20 @@
 
 IDX files are parsed bit-exactly: 4-byte big-endian magic (0x00000803 for
 images, 0x00000801 for labels), big-endian 4-byte dimension sizes, then the
-raw payload bytes. Images are kept as uint8 grids; `encode_dataset`
-flattens each row-major and maps pixels to float32 in [0, 1] by dividing
-by 255 in float32; the kernels compute in the dtype of their inputs, so
-this (with the float32 weights) makes a run's arithmetic float32. This
-package never recentres inputs to [-1, 1]: the choice only rescales the
-effective regime of the stretch parameter `a` in the first layer, but it
-must be held fixed for sweep results to be comparable.
+raw payload bytes. Each file is read once, into a buffer that the parsed
+images view, so loading holds no second copy of it. Images are kept as
+uint8 grids; `encode_dataset` flattens each row-major and maps pixels to
+float32 in [0, 1] by dividing by 255 in float32; the kernels compute in the
+dtype of their inputs, so this (with the float32 weights) makes a run's
+arithmetic float32. This package never recentres inputs to [-1, 1]: the
+choice only rescales the effective regime of the stretch parameter `a` in
+the first layer, but it must be held fixed for sweep results to be comparable.
 """
 
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -107,11 +109,14 @@ def _idx_payload(data: bytes, magic: int, kind: str, ndims: int) -> np.ndarray:
 
 
 def parse_idx_images(data: bytes) -> np.ndarray:
-    """Parse an IDX image file into a (n, rows, cols) uint8 array with rows, cols >= 1."""
+    """Parse an IDX image file into a (n, rows, cols) uint8 array with rows, cols >= 1.
+
+    The array is a view of `data`'s buffer, read-only when `data` is bytes.
+    """
     images = _idx_payload(data, IMAGE_MAGIC, "image", 3)
     if 0 in images.shape[1:]:
         raise ShapeMismatch(f"images of {images.shape[1]}x{images.shape[2]} pixels have no pixel")
-    return images.copy()
+    return images
 
 
 def parse_idx_labels(data: bytes) -> np.ndarray:
@@ -131,9 +136,15 @@ def parse_idx(data: bytes) -> np.ndarray:
 
 
 def read_idx(path, parse):
-    """Read one IDX file and parse it; parse errors are re-raised with the path prepended."""
+    """Read one IDX file and parse it; parse errors are re-raised with the path prepended.
+
+    The file is read once, into a buffer sized by its length, which the
+    parsed images view.
+    """
     with open(path, "rb") as fh:
-        blob = fh.read()
+        blob = bytearray(os.fstat(fh.fileno()).st_size)
+        del blob[fh.readinto(blob) :]
+        blob += fh.read()  # what fstat did not count: a pipe, or a file that grew
     try:
         return parse(blob)
     except ValueError as exc:

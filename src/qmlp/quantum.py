@@ -103,7 +103,7 @@ def ry_update(z, x, theta):
 
 def projective_update(z, u):
     """Measurement outcomes in the dtype of z: d = +1 where u < (1 + z) / 2, else -1."""
-    p_plus = z + 1.0  # then bitwise 0.5 * (1 + z)
+    p_plus = np.asarray(z) + 1.0  # then bitwise 0.5 * (1 + z)
     p_plus *= 0.5
     return pm1(np.asarray(u) < p_plus, p_plus.dtype)
 

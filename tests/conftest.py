@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,20 @@ _MNIST_FILES = {
     "val_images": "t10k-images-idx3-ubyte",
     "val_labels": "t10k-labels-idx1-ubyte",
 }
+
+
+def traced_peak(fn, *args, **kwargs):
+    """(fn(*args, **kwargs), the peak of memory it allocated, in bytes).
+
+    tracemalloc counts numpy's array buffers as well as Python objects.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = fn(*args, **kwargs)
+        return out, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def mnist_dir():

@@ -1,6 +1,7 @@
 import errno
 import json
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from qmlp.checkpoint import (
     write_atomic,
 )
 from qmlp.network import NetworkParams, init_network_params
+
+from conftest import traced_peak
 
 
 @pytest.fixture()
@@ -162,6 +165,62 @@ def test_entry_beyond_float32_range_is_refused(tmp_path, params):
     save_checkpoint(path, NetworkParams(W), epoch=1)
     with pytest.raises(CheckpointCorrupt, match="weight matrix 1 holds a NaN or infinite entry, "
                                                 "or one beyond float32's range"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("with_velocity", [False, True])
+@pytest.mark.parametrize("meta", [None, {"a": 0.5, "seed": 3}])
+def test_saved_file_is_the_documented_layout(tmp_path, params, dtype, with_velocity, meta):
+    W = [w.astype(dtype) for w in params.W]
+    velocity = [np.full_like(w, 0.1) for w in W] if with_velocity else None
+    path = tmp_path / "model.qckpt"
+    save_checkpoint(path, NetworkParams(W), velocity, epoch=5, meta=meta)
+    shapes = [list(w.shape) for w in W]
+    header = {"epoch": 5, "meta": meta or {}, "weights": shapes, "velocity": shapes}
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    matrices = W + (velocity or [np.zeros_like(w) for w in W])
+    payload = b"".join(a.astype("<f8").tobytes() for a in matrices)
+    expected = MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + payload
+    assert path.read_bytes() == expected
+    assert checkpoint_bytes(NetworkParams(W), velocity, epoch=5, meta=meta) == expected
+
+
+@pytest.fixture()
+def wide_net():
+    """A 784 -> 3x128 -> 10 net and a nonzero velocity: a 2.15 MB checkpoint."""
+    params = init_network_params(784, 128, 3, 10, np.random.default_rng(1))
+    return params, [np.full_like(w, 0.25) for w in params.W]
+
+
+@pytest.mark.parametrize("with_velocity", [False, True])
+def test_save_allocates_less_than_the_file(tmp_path, wide_net, with_velocity):
+    params, velocity = wide_net
+    path = tmp_path / "wide.qckpt"
+    _, peak = traced_peak(save_checkpoint, path, params, velocity if with_velocity else None)
+    assert peak < path.stat().st_size
+    assert peak < 1.1 * max(8 * w.size for w in params.W)  # one float64 matrix at a time
+
+
+def test_load_holds_one_float64_matrix_beyond_its_arrays(tmp_path, wide_net):
+    params, velocity = wide_net
+    path = tmp_path / "wide.qckpt"
+    save_checkpoint(path, params, velocity, epoch=2)
+    (loaded, loaded_velocity, _, _), peak = traced_peak(load_checkpoint, path)
+    for a, b in zip(params.W + velocity, loaded.W + loaded_velocity):
+        assert np.array_equal(a, b)
+    returned = sum(a.nbytes for a in loaded.W + loaded_velocity)
+    largest = max(8 * w.size for w in params.W)
+    assert peak < returned + 2 * largest
+
+
+def test_payload_cut_after_fstat_is_truncation(tmp_path, params, monkeypatch):
+    path = tmp_path / "model.qckpt"
+    save_checkpoint(path, params)
+    opened = SimpleNamespace(st_size=path.stat().st_size)  # the size fstat saw
+    path.write_bytes(path.read_bytes()[:-20])
+    monkeypatch.setattr(qmlp.checkpoint.os, "fstat", lambda fd: opened)
+    with pytest.raises(CheckpointCorrupt, match="truncated payload"):
         load_checkpoint(path)
 
 

@@ -1,3 +1,4 @@
+import os
 import struct
 
 import numpy as np
@@ -22,7 +23,7 @@ from qmlp.data import (
 )
 from qmlp.network import ShapeMismatch
 
-from conftest import mnist_dir
+from conftest import mnist_dir, traced_peak
 from synthdigits import serialize_idx_images, serialize_idx_labels
 
 
@@ -129,6 +130,24 @@ class TestIdxParsing:
         assert serialize_idx_images(parse_idx_images(img_blob)) == img_blob
         lab_blob = label_bytes(list(rng.integers(0, 10, size=17)))
         assert serialize_idx_labels(parse_idx_labels(lab_blob)) == lab_blob
+
+    def test_read_idx_holds_one_copy_of_the_file(self, tmp_path):
+        path = tmp_path / "images"
+        path.write_bytes(image_bytes(2000, rng=np.random.default_rng(5)))
+        images, peak = traced_peak(read_idx, path, parse_idx_images)
+        assert np.array_equal(images, parse_idx_images(path.read_bytes()))
+        assert images.flags.writeable
+        assert peak < 1.1 * path.stat().st_size
+
+    @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="needs /dev/fd")
+    def test_read_idx_reads_a_pipe(self):
+        read_end, write_end = os.pipe()
+        with open(write_end, "wb") as fh:
+            fh.write(label_bytes([7, 0, 3]))
+        try:
+            assert read_idx(f"/dev/fd/{read_end}", parse_idx).tolist() == [7, 0, 3]
+        finally:
+            os.close(read_end)
 
     def test_count_mismatch_names_both_files(self, tmp_path):
         images, labels = tmp_path / "three-images", tmp_path / "two-labels"

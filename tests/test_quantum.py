@@ -229,6 +229,9 @@ class TestProjectiveMeasure:
             out = projective_measure(QubitState(1.0, 0.0), np.random.default_rng(_))
             assert out.d == 1
             assert (out.post_state.alpha, out.post_state.beta) == (1.0, 0.0)
+        # the kernel takes plain Python floats: +1 where u < (1 + z) / 2
+        assert projective_update(1.0, 0.999) == 1
+        assert (projective_update(0.5, 0.7), projective_update(0.5, 0.8)) == (1, -1)
 
     def test_consumes_exactly_one_draw(self):
         rng = np.random.default_rng(9)
