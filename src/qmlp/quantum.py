@@ -50,7 +50,6 @@ from .network import (
 )
 
 HALF_PI = np.pi / 2
-_DRAW_BLOCK = 64  # samples whose draws are staged sample-major, then copied into U at once
 
 
 @dataclass(frozen=True)
@@ -201,14 +200,10 @@ def quantum_forward_batch(
     Z_list, D_list = [], [D0]
     if L:
         n = params.W[0].shape[0]
-        U = np.empty((L, n, B), dtype=dtype)
-        stage = np.empty((min(B, _DRAW_BLOCK), L, n), dtype=dtype)
-        # a sample's column of U is strided by B; the staged copy writes runs of a block's width
-        for start in range(0, B, _DRAW_BLOCK):
-            block = sample_rngs[start : start + _DRAW_BLOCK]
-            for j, rng in enumerate(block):
-                stage[j] = rng.random((L, n), dtype=dtype)
-            U[:, :, start : start + len(block)] = stage[: len(block)].transpose(1, 2, 0)
+        draws = np.empty((B, L, n), dtype=dtype)
+        for row, rng in zip(draws, sample_rngs):
+            rng.random((L, n), dtype=dtype, out=row)
+        U = draws.transpose(1, 2, 0)  # U[k - 1] is layer k's (n, B) draws
         Z, state = first_layer(params, D0, cfg) if first is None else first
     for k in range(1, L + 1):
         if k > 1:  # rotate by the angle the previous outcomes give

@@ -17,7 +17,8 @@ does not parse raises ResultCorrupt, and one whose job record is not the
 asked job's, or that holds none, raises ResultMismatch; a sweep checks
 every cell's result.json before it trains any cell. Cells are
 independent, which is what makes --threads > 1 safe and result-invariant.
-A cell that raises stops no other: sweep.csv holds the finished cells'
+A cell that raises stops no other, and a worker that dies fails only the
+cells that were running or queued: sweep.csv holds the finished cells'
 rows, and CellsFailed then names each failed cell, so a re-run trains
 only the failed cells.
 """
@@ -28,8 +29,9 @@ import json
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .checkpoint import save_checkpoint, write_atomic
@@ -174,12 +176,12 @@ def cell_dir_name(a: float, g: float, seed: int) -> str:
     return f"a{a!r}_g{g!r}_s{seed}"
 
 
-def _run_cell(cfg: RunConfig, out_dir: Path):
-    """run_training_job's result, or the error it raised as text, so that one
-    failing cell stops no other; an error no user can cause keeps its traceback."""
+def _outcome(out_dir: Path, result):
+    """The cell's result(), or the error it raised as text, so that one failing
+    cell stops no other; an error no user can cause keeps its traceback."""
     try:
-        return run_training_job(cfg, out_dir)
-    except (QmlpError, OSError) as exc:
+        return result()
+    except (QmlpError, OSError, BrokenProcessPool) as exc:
         return f"{out_dir}: {type(exc).__name__}: {exc}"
     except Exception:
         return f"{out_dir}: {traceback.format_exc()}"
@@ -192,8 +194,9 @@ def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
     Every finished cell's result.json is checked against its job before any
     cell trains, so a sweep re-run under another job stops with every byte
     unchanged instead of mixing two jobs' cells. A cell that raises stops no
-    other cell: after sweep.csv is written, CellsFailed names each failed
-    cell's directory and error.
+    other cell, and a dead worker fails only the cells that had not finished:
+    after sweep.csv is written, CellsFailed names each failed cell's directory
+    and error.
     """
     cfgs = [cfg.with_quantum(a, g, seed) for a, g, seed in cells]
     dirs = [Path(out_dir) / "cells" / cell_dir_name(a, g, seed) for a, g, seed in cells]
@@ -201,9 +204,10 @@ def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
         _finished_result(cell_dir / "result.json", _job(cell_cfg))
     if threads > 1 and len(cfgs) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(cfgs))) as pool:
-            outcomes = list(pool.map(_run_cell, cfgs, dirs))
+            futures = [pool.submit(run_training_job, c, d) for c, d in zip(cfgs, dirs)]
+            outcomes = [_outcome(d, f.result) for d, f in zip(dirs, futures)]
     else:
-        outcomes = list(map(_run_cell, cfgs, dirs))
+        outcomes = [_outcome(d, partial(run_training_job, c, d)) for c, d in zip(cfgs, dirs)]
     results = [r for r in outcomes if isinstance(r, dict)]
     write_sweep_csv(Path(out_dir) / "sweep.csv", results)
     failed = [r for r in outcomes if isinstance(r, str)]

@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import tracemalloc
 from pathlib import Path
@@ -14,6 +15,14 @@ _MNIST_FILES = {
     "val_images": "t10k-images-idx3-ubyte",
     "val_labels": "t10k-labels-idx1-ubyte",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_child_outlives_its_test():
+    """Fail a test that leaves a child process running, such as a pool worker."""
+    yield
+    children = multiprocessing.active_children()
+    assert not children, f"child processes still running: {children}"
 
 
 def traced_peak(fn, *args, **kwargs):

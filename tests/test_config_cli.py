@@ -1,10 +1,12 @@
 import json
 import math
+import multiprocessing
 import os
 import re
 import struct
 import subprocess
 import sys
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -773,6 +775,47 @@ class TestSweep:
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert rows[0] == CSV_HEADER and [row.split(",")[0] for row in rows[1:]] == ["0.8"]
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched train by fork")
+    def test_killed_worker_costs_only_unfinished_cells(
+        self, tmp_path, small_idx_dir, monkeypatch, capsys
+    ):
+        cfg_path = write_desk_config(tmp_path, small_idx_dir)
+        out = tmp_path / "out"
+        a_values = ["0.0", "0.4", "0.8", "1.2"]
+        argv = ["sweep", "--config", str(cfg_path), "--threads", "2",
+                "--set", f"sweep.a_values=[{', '.join(a_values)}]",
+                "--set", "sweep.g_values=[pi/2]", "--set", "sweep.seeds=[3]"]
+        dirs = {a: out / "cells" / cell_dir_name(float(a), HALF_PI, 3) for a in a_values}
+
+        def killed_in_last_cell(hyper, *args, **kwargs):
+            if hyper.quantum.a == 1.2:
+                os._exit(9)  # as an OOM kill would end the worker, mid-cell
+            return train(hyper, *args, **kwargs)
+
+        monkeypatch.setattr(qmlp.sweep, "train", killed_in_last_cell)
+        capsys.readouterr()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[0] == CSV_HEADER
+        finished = {row.split(",")[0] for row in rows[1:]}
+        failed = {a for a in a_values if f"{dirs[a]}: " in err}
+        assert err.startswith(f"error: {len(failed)} of 4 cells failed, and sweep.csv holds ")
+        assert err.count("\n") == 1 and f"{dirs['1.2']}: BrokenProcessPool: " in err
+        for a in a_values:
+            assert (a in finished) + err.count(f"{dirs[a]}: ") == 1
+        others = {p: (p.read_bytes(), p.stat().st_mtime_ns)
+                  for a in finished for p in dirs[a].iterdir()}
+        assert len(others) == 3 * len(finished)  # metrics, checkpoint and result
+
+        monkeypatch.undo()
+        assert main(argv) == 0
+        assert {p: (p.read_bytes(), p.stat().st_mtime_ns) for p in others} == others
+        assert all((dirs[a] / "result.json").exists() for a in failed)
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert [row.split(",")[0] for row in rows[1:]] == a_values
+
     def test_pool_has_no_more_workers_than_cells(self, tmp_path, small_idx_dir, monkeypatch):
         # the fork start method forks every worker at the first submit; this pool forks none
         workers = []
@@ -787,8 +830,10 @@ class TestSweep:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
 
         monkeypatch.setattr(qmlp.sweep, "ProcessPoolExecutor", SerialPool)
         cfg_path = write_desk_config(tmp_path, small_idx_dir)

@@ -39,14 +39,15 @@ NETS = {"3": (3, 8, 128), "0": (0, 8, 160), "3x5": (3, 5, 80), "3x5-chunk1": (3,
 
 
 class Block:
-    """A generator stand-in whose one random() call returns a fixed block of draws."""
+    """A generator stand-in whose one random() call fills `out` with a fixed block of draws."""
 
     def __init__(self, block):
         self.block = block
 
-    def random(self, size, dtype):
-        assert (size, dtype) == (self.block.shape, self.block.dtype)
-        return self.block
+    def random(self, size, dtype, out):
+        assert (size, dtype) == (self.block.shape, self.block.dtype) == (out.shape, out.dtype)
+        out[...] = self.block
+        return out
 
 
 def per_shot_passes(params, data, cfg, shots, seed):

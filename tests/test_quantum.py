@@ -478,12 +478,12 @@ class TestQuantumForward:
         ids=["projective", "a-zero-weak", "bloch"],
     )
     def test_bytes_equal_the_column_scatter_form(self, a, g, dtype):
-        # B runs over the edges of the 64-sample draw blocks; L * n = 15 is odd
+        # L * n = 15 is odd; B = 512 is a 2x128 net's evaluation pass
         rng = np.random.default_rng(24)
         params = init_network_params(6, 5, 3, 3, rng)
         params.W = [w.astype(dtype) for w in params.W]
         cfg = QuantumConfig(a=a, g=g)
-        for B in (1, 63, 64, 65, 130):
+        for B in (1, 63, 64, 65, 130, 512):
             X = rng.uniform(0, 1, size=(6, B)).astype(dtype)
             streams = [substream(B, FORWARD, 0, 0, s) for s in range(B)]
             trace = quantum_forward_batch(params, X, cfg, streams)
@@ -491,6 +491,15 @@ class TestQuantumForward:
             z_ref, d_ref, f_ref = where_forward_batch(params, X, cfg, streams)
             for got, want in zip(trace.Z + trace.D + [trace.F], z_ref + d_ref + [f_ref]):
                 assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    def test_one_generator_per_sample(self, extra):
+        rng = np.random.default_rng(25)
+        params = init_network_params(6, 5, 2, 3, rng)
+        X = rng.uniform(0, 1, size=(6, 4))
+        streams = [substream(4, FORWARD, 0, 0, s) for s in range(4 + extra)]
+        with pytest.raises(ShapeMismatch, match=f"^need 4 sample generators, got {4 + extra}$"):
+            quantum_forward_batch(params, X, QuantumConfig(a=0.3), streams)
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(23)
@@ -589,9 +598,10 @@ class TestQuantumForward:
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-24])  # float32 draws are in [0, 1)
     def test_classical_limit_exact_for_extreme_float32_draws(self, u):
         class ConstantDraws:
-            def random(self, size, dtype):
-                assert dtype == np.float32
-                return np.full(size, u, dtype=dtype)
+            def random(self, size, dtype, out):
+                assert dtype == out.dtype == np.float32
+                out.fill(u)
+                return out
 
         rng = np.random.default_rng(27)
         cfg = QuantumConfig(a=0.0, g=HALF_PI)
@@ -607,8 +617,9 @@ class TestQuantumForward:
     @pytest.mark.parametrize("u", [0.0, 1.0 - 2.0**-53])
     def test_classical_limit_exact_for_extreme_draws(self, u):
         class ConstantDraws:
-            def random(self, size, dtype=np.float64):
-                return np.full(size, u, dtype=dtype)
+            def random(self, size, dtype, out):
+                out.fill(u)
+                return out
 
         rng = np.random.default_rng(26)
         cfg = QuantumConfig(a=0.0, g=HALF_PI)

@@ -293,8 +293,8 @@ class TestFloat32:
             def __init__(self, rng):
                 self.rng = rng
 
-            def random(self, size, dtype=np.float64):
-                u = self.rng.random(size, dtype=dtype)
+            def random(self, size, dtype=np.float64, out=None):
+                u = self.rng.random(size, dtype=dtype, out=out)
                 seen["draws"].append(u)
                 return u
 
