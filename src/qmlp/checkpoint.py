@@ -73,11 +73,6 @@ def _chunks(
             yield np.zeros(w.shape, dtype="<f8")
 
 
-def checkpoint_bytes(params, velocity=None, epoch=0, meta=None) -> bytes:
-    """The whole file save_checkpoint writes, as one bytes object."""
-    return b"".join(_chunks(params, velocity, epoch, meta))
-
-
 def write_atomic(path, data):
     """Write `data` to `path` through a temporary file in the same directory.
 

@@ -69,10 +69,11 @@ def prediction_matrix(
     that stream: shot j takes the j-th block of the L * n uniforms a
     forward pass draws per sample. The first k columns therefore do not
     depend on `shots`, and sorting or batching the samples differently
-    cannot change the matrix; shot j cannot be replayed without drawing the
-    j earlier blocks. A chunk holds _EVAL_QUBITS // width samples (at least
-    one), where width is W[0]'s row count, so that the arrays of a pass stay
-    in cache. Layer 1 before its measurement does not depend on the draws,
+    changes no draw; it can change a matrix product in its last bit, and so
+    a prediction only at a near-tie. Shot j cannot be replayed without
+    drawing the j earlier blocks. A chunk holds _EVAL_QUBITS // width
+    samples (at least one), where width is W[0]'s row count, so that the
+    arrays of a pass stay in cache. Layer 1 before its measurement does not depend on the draws,
     so it is computed once per chunk and shared by the chunk's shots.
     """
     n = data.count

@@ -52,9 +52,6 @@ class NetworkParams:
     def output_size(self) -> int:
         return self.W[-1].shape[0]
 
-    def hidden_widths(self) -> list:
-        return [w.shape[0] for w in self.W[:-1]]
-
 
 Gradients = list  # matrices shaped like NetworkParams.W
 

@@ -127,14 +127,6 @@ def weak_update(z, x, sin_g, cos_g, u):
     return d, out_z, out_x
 
 
-def _check_hidden_widths(params: NetworkParams):
-    widths = params.hidden_widths()
-    if widths and any(w != widths[0] for w in widths):
-        raise ShapeMismatch(
-            f"quantum forward reuses one qubit per neuron; hidden widths {widths} differ"
-        )
-
-
 def _rotate(Z, cfg: QuantumConfig, prev, state):
     """Layer state before measurement: z = prev * sin(pi/2 * phi_a(Z)) on the poles
     (prev is t), else the Bloch pair `state` turned by pi/2 * (prev - phi_a(Z)) (prev
@@ -177,10 +169,12 @@ def quantum_forward_batch(
     weak_update. Nothing reads the last layer's post-measurement state, so
     that layer only samples its outcomes. Column s draws L * n uniforms from
     sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
-    activations do not depend on its batch; a generator passed to successive
-    calls continues its stream, one block per call. The draws, like every
-    array of the pass, are in the dtype of W[0] @ D0: float32 for float32
-    weights and inputs.
+    draws do not depend on its batch; a generator passed to successive calls
+    continues its stream, one block per call. Its matrix products may: BLAS
+    can round a column differently in a batch of another width, so a batch
+    can change an activation only at a near-tie, where a value lies within
+    rounding of its threshold. The draws, like every array of the pass, are
+    in the dtype of W[0] @ D0: float32 for float32 weights and inputs.
 
     `first` is first_layer(params, D0, cfg), computed here when None. A
     caller that runs several passes over the same D0 and cfg may compute it
@@ -188,7 +182,11 @@ def quantum_forward_batch(
     with no hidden layer.
     """
     check_features(params, D0)
-    _check_hidden_widths(params)
+    widths = [w.shape[0] for w in params.W[:-1]]
+    if widths and any(w != widths[0] for w in widths):
+        raise ShapeMismatch(
+            f"quantum forward reuses one qubit per neuron; hidden widths {widths} differ"
+        )
     L = params.num_hidden_layers
     B = D0.shape[1]
     if len(sample_rngs) != B:

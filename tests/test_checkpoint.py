@@ -11,7 +11,6 @@ from qmlp.checkpoint import (
     MAGIC,
     VERSION,
     CheckpointCorrupt,
-    checkpoint_bytes,
     load_checkpoint,
     save_checkpoint,
     write_atomic,
@@ -39,11 +38,12 @@ def test_roundtrip_exact(tmp_path, params):
         assert np.array_equal(v, lv)
 
 
-def test_bytes_are_deterministic(params):
+def test_bytes_are_deterministic(tmp_path, params):
     velocity = [np.zeros_like(w) for w in params.W]
-    b1 = checkpoint_bytes(params, velocity, epoch=3, meta={"seed": 9})
-    b2 = checkpoint_bytes(params, velocity, epoch=3, meta={"seed": 9})
-    assert b1 == b2
+    first, second = tmp_path / "first.qckpt", tmp_path / "second.qckpt"
+    save_checkpoint(first, params, velocity, epoch=3, meta={"seed": 9})
+    save_checkpoint(second, params, velocity, epoch=3, meta={"seed": 9})
+    assert first.read_bytes() == second.read_bytes()
 
 
 def test_bad_magic(tmp_path, params):
@@ -54,16 +54,17 @@ def test_bad_magic(tmp_path, params):
 
 
 def test_truncated_payload(tmp_path, params):
-    blob = checkpoint_bytes(params)
     path = tmp_path / "trunc.qckpt"
-    path.write_bytes(blob[:-20])
+    save_checkpoint(path, params)
+    path.write_bytes(path.read_bytes()[:-20])
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(path)
 
 
 def test_truncated_header(tmp_path, params):
     path = tmp_path / "trunc.qckpt"
-    path.write_bytes(checkpoint_bytes(params)[:20])
+    save_checkpoint(path, params)
+    path.write_bytes(path.read_bytes()[:20])
     with pytest.raises(CheckpointCorrupt, match="truncated header"):
         load_checkpoint(path)
 
@@ -80,15 +81,17 @@ def test_shape_that_overflows_int64_is_truncation(tmp_path):
 
 def test_trailing_garbage(tmp_path, params):
     path = tmp_path / "extra.qckpt"
-    path.write_bytes(checkpoint_bytes(params) + b"\x00\x01")
+    save_checkpoint(path, params)
+    path.write_bytes(path.read_bytes() + b"\x00\x01")
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(path)
 
 
 def test_unknown_version(tmp_path, params):
-    blob = bytearray(checkpoint_bytes(params))
-    blob[8] = 99
     path = tmp_path / "vers.qckpt"
+    save_checkpoint(path, params)
+    blob = bytearray(path.read_bytes())
+    blob[8] = 99
     path.write_bytes(bytes(blob))
     with pytest.raises(CheckpointCorrupt):
         load_checkpoint(path)
@@ -107,7 +110,7 @@ def test_unknown_version(tmp_path, params):
 def test_inconsistent_shapes(tmp_path, weights, velocity, message):
     params = NetworkParams([np.zeros(s) for s in weights])
     path = tmp_path / "shapes.qckpt"
-    path.write_bytes(checkpoint_bytes(params, [np.zeros(s) for s in velocity]))
+    save_checkpoint(path, params, [np.zeros(s) for s in velocity])
     with pytest.raises(CheckpointCorrupt, match=message):
         load_checkpoint(path)
 
@@ -137,7 +140,9 @@ def test_float32_save_load_save_is_byte_identical(tmp_path, params):
     save_checkpoint(path, params, velocity, epoch=4, meta={"numerics": 2})
     loaded, loaded_velocity, epoch, meta = load_checkpoint(path)
     assert {a.dtype for a in loaded.W + loaded_velocity} == {np.dtype(np.float32)}
-    assert checkpoint_bytes(loaded, loaded_velocity, epoch, meta) == path.read_bytes()
+    resaved = tmp_path / "resaved.qckpt"
+    save_checkpoint(resaved, loaded, loaded_velocity, epoch, meta)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def test_float64_payload_loads_narrowed_to_float32(tmp_path):
@@ -183,7 +188,6 @@ def test_saved_file_is_the_documented_layout(tmp_path, params, dtype, with_veloc
     payload = b"".join(a.astype("<f8").tobytes() for a in matrices)
     expected = MAGIC + struct.pack("<II", VERSION, len(blob)) + blob + payload
     assert path.read_bytes() == expected
-    assert checkpoint_bytes(NetworkParams(W), velocity, epoch=5, meta=meta) == expected
 
 
 @pytest.fixture()

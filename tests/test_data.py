@@ -156,6 +156,11 @@ class TestIdxParsing:
         with pytest.raises(ShapeMismatch, match="two-labels: image/label count mismatch: 3 vs 2"):
             load_raw_dataset(images, labels)
 
+    @pytest.mark.parametrize("shape", [(3, 784), (3, 1, 28, 28)])
+    def test_images_that_are_not_3d_are_refused(self, shape):
+        with pytest.raises(ShapeMismatch, match=r"images must be \(n, rows, cols\)"):
+            RawDataset(images=np.zeros(shape, np.uint8), labels=np.zeros(3, np.int64))
+
 
 class TestSubset:
     def make(self, n):
@@ -261,6 +266,11 @@ class TestBatches:
         plan = BatchPlan.make(ds.count, 4, epoch_seed=1)
         assert [len(b) for b in plan.batches()] == [4, 4, 2]
         assert np.array_equal(np.concatenate(list(plan.batches())), plan.order)
+
+    @pytest.mark.parametrize("batch_size", [0, -1])
+    def test_batch_size_below_one_is_refused(self, batch_size):
+        with pytest.raises(ValueError, match=f"^batch_size must be >= 1, got {batch_size}$"):
+            BatchPlan.make(10, batch_size, epoch_seed=1)
 
 
 @pytest.mark.skipif(mnist_dir() is None, reason="real MNIST IDX files not available")

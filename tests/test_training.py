@@ -8,6 +8,7 @@ from qmlp.data import NUM_CLASSES, EncodedDataset, LabelOutOfRange
 from qmlp.inference import InferencePolicy, evaluate
 from qmlp.network import (
     NetworkParams,
+    ShapeMismatch,
     classical_forward_batch,
     init_network_params,
     softmax_cross_entropy_batch,
@@ -82,6 +83,13 @@ class TestSgdMomentumStep:
             sgd_momentum_step(
                 self.params, self.velocity, [np.zeros((2, 2)), np.zeros((1, 1))], 0.1, 0.9
             )
+
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_wrong_number_of_gradients(self, count):
+        grads = [np.zeros((1, 2)), np.zeros((1, 1)), np.zeros((1, 1))][:count]
+        with pytest.raises(ShapeMismatch, match=f"^{count} gradients for 2 matrices$"):
+            sgd_momentum_step(self.params, self.velocity, grads, 0.1, 0.9)
+        assert self.params.W[0].tolist() == [[1.0, 2.0]]  # refused before any update
 
 
 class TestHyperparams:
