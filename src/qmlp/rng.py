@@ -1,30 +1,31 @@
 """Deterministic substream derivation for reproducible stochastic runs.
 
-Every random decision in a run (weight init, subset selection, epoch
-shuffles, measurement sampling, multi-shot inference) is drawn from its own
-PCG64 generator whose seed is derived from a base seed plus a purpose tag
-and integer coordinates such as (epoch, batch, sample). Python's built-in
-hash() is salted per process, so the derivation uses a fixed SplitMix64
-chain instead:
+Every random decision in a run is drawn from its own PCG64 generator,
+np.random.default_rng(mix64(seed, *parts)), keyed by a base seed, a purpose
+tag and integer coordinates. Python's built-in hash() is salted per process,
+so mix64 is a fixed SplitMix64 chain instead:
 
     h = splitmix64(seed)
     for part in parts:
         h = splitmix64(h ^ splitmix64(part))
 
-where splitmix64 is the finalizer from Steele et al.'s SplitMix generator
-(the same mixer java.util.SplittableRandom uses). The resulting 64-bit
-value seeds numpy's default PCG64 bit generator exactly as
-np.random.default_rng(h) does; one passed to successive calls continues its
-stream (each shot of a sample's multi-shot inference takes the next block).
-This exact chain is part of the reproducibility contract: results depend
-only on the derived (purpose, coordinates) keys.
+where splitmix64 is the finalizer from Steele et al.'s SplitMix generator.
+This chain is part of the reproducibility contract: results depend only on
+the keys. The streams, and the caller that mixes a key's inner mix64 first:
 
-A batch's generators (one per sample of a training batch or an evaluation
-chunk) are derived in one vectorized pass: the chain runs as uint64 array
-arithmetic and numpy's SeedSequence hash of each key as uint32 array
-arithmetic (`seed_words`), and only the PCG64 seeding runs per key. Each
-generator's state equals default_rng's for the same key; only its
-`bit_generator.seed_seq` differs, and it cannot spawn children.
+    stream   key                                     derived by  in
+    INIT     seed, INIT                              substream   training.train
+    SUBSET   subset_seed, SUBSET                     substream   data.subset, for sweep._train_split
+    SUBSET   mix64(subset_seed, 1), SUBSET           substream   data.subset, for sweep._val_split
+    SHUFFLE  mix64(seed, SHUFFLE, epoch), SHUFFLE    substream   BatchPlan.make, for training.train
+    FORWARD  seed, FORWARD, epoch, batch, i          substreams  training.train, i-th of a batch
+    EVAL     policy seed, EVAL, i                    substreams  inference.prediction_matrix
+
+`substreams` derives a batch's generators in one vectorized pass: the chain
+in uint64 and numpy's SeedSequence hash (`seed_words`) in uint32 arithmetic,
+only the PCG64 seeding per key. Each state, and so each stream, equals
+default_rng's for the same key; only its `bit_generator.seed_seq` differs,
+and it cannot spawn children.
 """
 
 from __future__ import annotations
@@ -87,14 +88,13 @@ def _mix(x, y):
     return r ^ (r >> 16)
 
 
-def seed_words(values) -> np.ndarray:
+def seed_words(values: np.ndarray) -> np.ndarray:
     """`np.random.SeedSequence(v).generate_state(4, np.uint64)` for each uint64 v, as (K, 4).
 
     A 64-bit entropy value is the uint32 words (low, high), and a pool of 4
     pads it with zero words, so one word-parallel pass follows numpy's
     mix_entropy and generate_state for every value at once.
     """
-    values = np.array(values, dtype=np.uint64, ndmin=1)  # a 0-d array's ops give scalars
     low = (values & _MASK32).astype(np.uint32)
     zero = np.zeros_like(low)
     hashmix = _hashmix(_INIT_A, _MULT_A)
@@ -124,13 +124,12 @@ class _Words(np.random.bit_generator.ISeedSequence):
 def substreams(seed: int, parts, last) -> list:
     """PCG64 generators for the substreams keyed by (seed, *parts, k), one per k in `last`.
 
-    Each equals np.random.default_rng(mix64(seed, *parts, k)) in state.
+    Each equals substream(seed, *parts, k) in state.
     """
     keys = mix64(seed, *parts, np.asarray(last, dtype=np.uint64))
     return [np.random.Generator(np.random.PCG64(_Words(w))) for w in seed_words(keys)]
 
 
 def substream(seed: int, *parts: int) -> np.random.Generator:
-    """A PCG64 generator for the substream keyed by (seed, *parts); at least one part."""
-    *prefix, last = parts
-    return substreams(seed, prefix, [last & _MASK64])[0]
+    """A PCG64 generator for the substream keyed by (seed, *parts)."""
+    return np.random.default_rng(mix64(seed, *parts))

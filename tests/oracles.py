@@ -19,9 +19,6 @@ every batched kernel has an independent reference:
   entangling gate;
 * `shot_predictions` replays one sample's multi-shot evaluation from its
   one evaluation stream;
-* `default_substream` is the per-key generator, `np.random.default_rng`
-  seeded with the key's SplitMix64 value, that `qmlp.rng.substreams`
-  derives a batch at a time;
 * `ry_update_allocating` and `weak_update_allocating` are the Bloch-pair
   kernels `ry_update` and `weak_update` with one expression per quantity,
   each step a new array;
@@ -40,7 +37,8 @@ from scipy.linalg import expm
 
 from qmlp.network import BatchTrace, NetworkParams, ShapeMismatch, htanh, sign
 from qmlp.quantum import HALF_PI, phi_a
-from qmlp.rng import EVAL, mix64
+from qmlp.rng import EVAL, substream
+
 
 def as_float64(params: NetworkParams) -> NetworkParams:
     """A float64 copy of library-made (float32) params.
@@ -50,11 +48,6 @@ def as_float64(params: NetworkParams) -> NetworkParams:
     checks and the finite-difference checks need.
     """
     return NetworkParams([w.astype(np.float64) for w in params.W])
-
-
-def default_substream(seed: int, *parts: int) -> np.random.Generator:
-    """The generator of the substream keyed by (seed, *parts), seeded one key at a time."""
-    return np.random.default_rng(mix64(seed, *parts))
 
 
 # --- classical network, one sample ------------------------------------------
@@ -272,10 +265,10 @@ def shot_predictions(params, x, cfg, shots: int, seed: int, index: int) -> list:
     """Sample `index`'s `shots` stochastic predictions, one reference pass each.
 
     The `shots` passes run one after another on one generator,
-    default_substream(seed, EVAL, index), each continuing its stream where the
+    substream(seed, EVAL, index), each continuing its stream where the
     last stopped; argmax ties go to the lowest class.
     """
-    rng = default_substream(seed, EVAL, index)
+    rng = substream(seed, EVAL, index)
     return [int(np.argmax(reference_forward(params, x, cfg, rng)[2])) for _ in range(shots)]
 
 

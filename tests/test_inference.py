@@ -15,9 +15,9 @@ from qmlp.inference import (
 )
 from qmlp.network import NetworkParams, init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
-from qmlp.rng import EVAL
+from qmlp.rng import EVAL, substream
 
-from oracles import as_float64, classical_forward, default_substream, shot_predictions
+from oracles import as_float64, classical_forward, shot_predictions
 from synthdigits import make_raw_dataset
 
 
@@ -55,12 +55,12 @@ def per_shot_passes(params, data, cfg, shots, seed):
     as each sample has its own draws, the chunk size is immaterial.
 
     Sample i's shots * L * n uniforms are drawn from its generator,
-    default_substream(seed, EVAL, i), in one call, and shot j's pass gets the
+    substream(seed, EVAL, i), in one call, and shot j's pass gets the
     j-th L * n block of them.
     """
     L, n = params.num_hidden_layers, params.W[0].shape[0]
     dtype = np.result_type(params.W[0], data.X)
-    draws = [default_substream(seed, EVAL, i).random((shots, L, n), dtype=dtype)
+    draws = [substream(seed, EVAL, i).random((shots, L, n), dtype=dtype)
              for i in range(data.count)]
     preds = np.empty((data.count, shots), dtype=np.int64)
     chunk = 16

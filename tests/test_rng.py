@@ -4,16 +4,17 @@ import numpy as np
 
 import qmlp.inference
 import qmlp.training
-from qmlp.data import encode_dataset
+from qmlp.config import DataConfig, RunConfig
+from qmlp.data import BatchPlan, encode_dataset
 from qmlp.inference import prediction_matrix
 from qmlp.network import init_network_params
 from qmlp.quantum import HALF_PI, QuantumConfig
 from qmlp.rng import (
     EVAL, FORWARD, INIT, SHUFFLE, SUBSET, mix64, seed_words, splitmix64, substream, substreams
 )
+from qmlp.sweep import load_datasets
 from qmlp.training import Hyperparams, train
 
-from oracles import default_substream
 from synthdigits import make_raw_dataset
 
 
@@ -79,8 +80,6 @@ def test_seed_words_equal_numpy_seed_sequence():
     assert got.shape == (len(values), 4) and got.dtype == np.uint64
     want = [np.random.SeedSequence(v).generate_state(4, np.uint64) for v in values]
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
-    for v, w in zip(edges, want):  # one value, given as a Python int
-        assert np.array_equal(seed_words(v), [w])
 
 
 def batch_keys():
@@ -99,7 +98,7 @@ def test_batch_form_equals_default_rng_key_for_key():
         gens = substreams(seed, parts, last)
         assert len(gens) == len(last)
         for k, gen in zip(last, gens):
-            assert gen.bit_generator.state == default_substream(seed, *parts, k).bit_generator.state
+            assert gen.bit_generator.state == substream(seed, *parts, k).bit_generator.state
         count += len(gens)
     assert count >= 10_000
 
@@ -107,7 +106,7 @@ def test_batch_form_equals_default_rng_key_for_key():
 def test_batch_form_continues_like_default_rng():
     # a non-zero start, and successive odd-sized float32 draws as multi-shot evaluation takes
     gens = substreams(11, (EVAL,), range(512, 1024))
-    refs = [default_substream(11, EVAL, i) for i in range(512, 1024)]
+    refs = [substream(11, EVAL, i) for i in range(512, 1024)]
     for _shot in range(3):
         for gen, ref in zip(gens, refs):
             want = ref.random(15, dtype=np.float32)
@@ -116,11 +115,12 @@ def test_batch_form_continues_like_default_rng():
 
 
 def test_substream_is_the_one_key_case():
-    # a last part outside [0, 2^64) is masked to 64 bits, as mix64 masks it
+    # substreams takes uint64 last parts, so one outside [0, 2^64) is masked as mix64 masks it
     for parts in [(INIT,), (SUBSET,), (SHUFFLE,), (FORWARD, 1, 2, 3), (EVAL, 2**64 - 1),
                   (EVAL, -1), (EVAL, 2**64)]:
-        want = default_substream(13, *parts).bit_generator.state
-        assert substream(13, *parts).bit_generator.state == want
+        *prefix, last = parts
+        [gen] = substreams(13, prefix, [last & (2**64 - 1)])
+        assert gen.bit_generator.state == substream(13, *parts).bit_generator.state
 
 
 class RecordedGenerator:
@@ -174,3 +174,40 @@ def test_evaluation_draw_schedule_is_frozen(monkeypatch):
     digest = draw_digest(monkeypatch, lambda: prediction_matrix(params, data, cfg, 3, seed=7))
     # 3 shots of 6 samples, each shot continuing its sample's stream
     assert digest == ("c201274433c8214e50f7888a3b3fc2cb4f622ffbc99da052a41a494ec9af23f0", 18)
+
+
+# The single-key streams are frozen too: weight init, the training and validation subset
+# picks, and the per-epoch shuffles. None of them touches BLAS.
+
+
+def sha256(*arrays) -> str:
+    return hashlib.sha256(b"".join(np.ascontiguousarray(a).tobytes() for a in arrays)).hexdigest()
+
+
+def test_init_stream_is_frozen():
+    W = [w for seed in (0, 1, 2**64 - 1)
+         for w in init_network_params(784, 16, 3, 10, substream(seed, INIT)).W]
+    assert sha256(*W) == "4240b7c2d97e1999eda75027a9b291038658ad0540f7812a313671913077a134"
+
+
+def test_subset_streams_are_frozen(small_idx_dir):
+    data = DataConfig(
+        train_images=str(small_idx_dir / "train-images-idx3-ubyte"),
+        train_labels=str(small_idx_dir / "train-labels-idx1-ubyte"),
+        val_images=str(small_idx_dir / "t10k-images-idx3-ubyte"),
+        val_labels=str(small_idx_dir / "t10k-labels-idx1-ubyte"),
+        subset_seed=7,
+    )
+    # the validation pick is keyed by mix64(subset_seed, 1), then SUBSET
+    train_set, val_set = load_datasets(RunConfig(data=data, hyper=Hyperparams(train_size=100,
+                                                                              val_size=50)))
+    assert sha256(train_set.y, train_set.X) == (
+        "98d10a695dea7e05fd27aae8eb9e01e9a3a9321e9aa7ade32888951a8595df23")
+    assert sha256(val_set.y, val_set.X) == (
+        "d8bec115ef021439c7edf697b25652a1cd71fc8aff50f36378ceb3c68d942a07")
+
+
+def test_shuffle_streams_are_frozen():
+    orders = [BatchPlan.make(1000, 64, mix64(1, SHUFFLE, epoch)).order for epoch in range(3)]
+    assert all(o.dtype == np.int64 for o in orders)
+    assert sha256(*orders) == "dcb310a75b11bde1826640abc2595b5583e2e2f4f2ba3334124bdcb1783f423d"
