@@ -16,7 +16,7 @@ import numpy as np
 from .data import EncodedDataset
 from .network import ConfigInvalid, NetworkParams, QmlpError, classical_forward_batch
 from .quantum import QuantumConfig, first_layer, quantum_forward_batch
-from .rng import EVAL, substreams
+from .rng import EVAL, generators, mix64, seed_words
 
 _EVAL_CHUNK = 512  # samples per deterministic pass
 _EVAL_QUBITS = 65_536  # qubits per multi-shot pass, so that a weak layer's arrays stay in L2
@@ -73,17 +73,20 @@ def prediction_matrix(
     a prediction only at a near-tie. Shot j cannot be replayed without
     drawing the j earlier blocks. A chunk holds _EVAL_QUBITS // width
     samples (at least one), where width is W[0]'s row count, so that the
-    arrays of a pass stay in cache. Layer 1 before its measurement does not depend on the draws,
-    so it is computed once per chunk and shared by the chunk's shots.
+    arrays of a pass stay in cache. The seed words of all n streams are
+    derived once per call, and each chunk builds only its own samples'
+    generators. Layer 1 before its measurement does not depend on the
+    draws, so it is computed once per chunk and shared by the chunk's shots.
     """
     n = data.count
     chunk = max(1, _EVAL_QUBITS // params.W[0].shape[0])
     preds = np.empty((n, shots), dtype=np.int64)
+    words = seed_words(mix64(seed, EVAL, np.arange(n, dtype=np.uint64)))
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
         D0 = data.X[start:stop].T
         first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
-        rngs = substreams(seed, (EVAL,), range(start, stop))
+        rngs = generators(words[start:stop])
         for j in range(shots):
             F = quantum_forward_batch(params, D0, cfg, rngs, first=first).F
             preds[start:stop, j] = np.argmax(F, axis=0)

@@ -167,12 +167,17 @@ def ste_backward_batch(
         )
     L = params.num_hidden_layers
     grads: Gradients = [None] * len(params.W)
-    grads[L] = (dF @ trace.D[L].T) / B
+    grads[L] = dF @ trace.D[L].T
     err = params.W[L].T @ dF
     for k in range(L, 0, -1):
-        dphi = (np.abs(trace.Z[k - 1]) <= bp_scale).astype(err.dtype) / bp_scale
-        delta = err * dphi
-        grads[k - 1] = (delta @ trace.D[k - 1].T) / B
+        delta = np.abs(trace.Z[k - 1])
+        np.less_equal(delta, bp_scale, out=delta)  # the gate, as 1.0 or 0.0
+        if bp_scale != 1.0:  # x / 1 is x
+            delta /= bp_scale
+        delta *= err
+        grads[k - 1] = delta @ trace.D[k - 1].T
         if k > 1:
             err = params.W[k - 1].T @ delta
+    for g in grads:
+        g /= B
     return grads

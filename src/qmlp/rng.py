@@ -13,17 +13,20 @@ where splitmix64 is the finalizer from Steele et al.'s SplitMix generator.
 This chain is part of the reproducibility contract: results depend only on
 the keys. The streams, and the caller that mixes a key's inner mix64 first:
 
-    stream   key                                     derived by  in
-    INIT     seed, INIT                              substream   training.train
-    SUBSET   subset_seed, SUBSET                     substream   data.subset, for sweep._train_split
-    SUBSET   mix64(subset_seed, 1), SUBSET           substream   data.subset, for sweep._val_split
-    SHUFFLE  mix64(seed, SHUFFLE, epoch), SHUFFLE    substream   BatchPlan.make, for training.train
-    FORWARD  seed, FORWARD, epoch, batch, i          substreams  training.train, i-th of a batch
-    EVAL     policy seed, EVAL, i                    substreams  inference.prediction_matrix
+    stream   key                                   derived by  in
+    INIT     seed, INIT                            substream   training.train
+    SUBSET   subset_seed, SUBSET                   substream   data.subset, for sweep._train_split
+    SUBSET   mix64(subset_seed, 1), SUBSET         substream   data.subset, for sweep._val_split
+    SHUFFLE  mix64(seed, SHUFFLE, epoch), SHUFFLE  substream   BatchPlan.make, for training.train
+    FORWARD  seed, FORWARD, epoch, batch, i        words       training.train, once an epoch
+    EVAL     policy seed, EVAL, i                  words       prediction_matrix, once a call
 
-`substreams` derives a batch's generators in one vectorized pass: the chain
-in uint64 and numpy's SeedSequence hash (`seed_words`) in uint32 arithmetic,
-only the PCG64 seeding per key. Each state, and so each stream, equals
+The measurement streams ("words") are derived in two steps. First
+seed_words(mix64(seed, *parts)), with uint64 array parts, turns every key
+of an epoch or of an evaluation into PCG64 seed words in one vectorized
+pass: the chain in uint64 and numpy's SeedSequence hash in uint32
+arithmetic. Then a batch or chunk seeds its own rows' generators with
+`generators`. Each state, and so each stream, equals
 default_rng's for the same key; only its `bit_generator.seed_seq` differs,
 and it cannot spawn children.
 """
@@ -61,8 +64,9 @@ def splitmix64(x):
 def mix64(seed: int, *parts):
     """Mix a base seed with key parts into one 64-bit substream seed.
 
-    The parts are Python ints; the last may be a uint64 array, which gives
-    one seed per element (uint64 arrays wrap where Python ints are masked).
+    Any part may be a uint64 array; the array parts broadcast against each
+    other and give one seed per element (uint64 arrays wrap where Python
+    ints are masked).
     """
     h = splitmix64(seed & _MASK64)
     for p in parts:
@@ -121,13 +125,10 @@ class _Words(np.random.bit_generator.ISeedSequence):
         return self.words
 
 
-def substreams(seed: int, parts, last) -> list:
-    """PCG64 generators for the substreams keyed by (seed, *parts, k), one per k in `last`.
-
-    Each equals substream(seed, *parts, k) in state.
-    """
-    keys = mix64(seed, *parts, np.asarray(last, dtype=np.uint64))
-    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in seed_words(keys)]
+def generators(words: np.ndarray) -> list:
+    """One PCG64 generator per row of seed_words' (K, 4) output, each in the
+    state of default_rng(key) for the key of its row."""
+    return [np.random.Generator(np.random.PCG64(_Words(w))) for w in words]
 
 
 def substream(seed: int, *parts: int) -> np.random.Generator:

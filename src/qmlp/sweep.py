@@ -17,10 +17,11 @@ does not parse raises ResultCorrupt, and one whose job record is not the
 asked job's, or that holds none, raises ResultMismatch; a sweep checks
 every cell's result.json before it trains any cell. Cells are
 independent, which is what makes --threads > 1 safe and result-invariant.
-A cell that raises stops no other, and a worker that dies fails only the
-cells that were running or queued: sweep.csv holds the finished cells'
-rows, and CellsFailed then names each failed cell, so a re-run trains
-only the failed cells.
+A cell that raises stops no other. A worker that dies breaks the pool, so
+each cell that was running or queued runs once more, alone, and fails only
+if its worker dies again: sweep.csv holds the finished cells' rows, and
+CellsFailed then names each failed cell, so a re-run trains only the failed
+cells.
 """
 
 from __future__ import annotations
@@ -187,6 +188,12 @@ def _outcome(out_dir: Path, result):
         return f"{out_dir}: {traceback.format_exc()}"
 
 
+def _run_in_pool(workers: int, jobs) -> list:
+    """The futures of run_training_job on each (cfg, out_dir) of jobs, all done."""
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return [pool.submit(run_training_job, c, d) for c, d in jobs]
+
+
 def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
     """Run (a, g, seed) cells under out_dir/cells/, possibly in parallel, and
     write out_dir/sweep.csv from the cells that finish.
@@ -194,18 +201,21 @@ def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
     Every finished cell's result.json is checked against its job before any
     cell trains, so a sweep re-run under another job stops with every byte
     unchanged instead of mixing two jobs' cells. A cell that raises stops no
-    other cell, and a dead worker fails only the cells that had not finished:
-    after sweep.csv is written, CellsFailed names each failed cell's directory
-    and error.
+    other cell. A dead worker breaks the pool, so every cell that had not
+    finished then runs once more, alone in a fresh one-worker pool, and only
+    a cell whose worker dies again fails. After sweep.csv is written,
+    CellsFailed names each failed cell's directory and error.
     """
     cfgs = [cfg.with_quantum(a, g, seed) for a, g, seed in cells]
     dirs = [Path(out_dir) / "cells" / cell_dir_name(a, g, seed) for a, g, seed in cells]
     for cell_cfg, cell_dir in zip(cfgs, dirs):
         _finished_result(cell_dir / "result.json", _job(cell_cfg))
     if threads > 1 and len(cfgs) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(cfgs))) as pool:
-            futures = [pool.submit(run_training_job, c, d) for c, d in zip(cfgs, dirs)]
-            outcomes = [_outcome(d, f.result) for d, f in zip(dirs, futures)]
+        futures = _run_in_pool(min(threads, len(cfgs)), zip(cfgs, dirs))
+        # a dead worker breaks the whole pool: each cell it took down runs once more, alone
+        futures = [_run_in_pool(1, [(c, d)])[0] if isinstance(f.exception(), BrokenProcessPool)
+                   else f for c, d, f in zip(cfgs, dirs, futures)]
+        outcomes = [_outcome(d, f.result) for d, f in zip(dirs, futures)]
     else:
         outcomes = [_outcome(d, partial(run_training_job, c, d)) for c, d in zip(cfgs, dirs)]
     results = [r for r in outcomes if isinstance(r, dict)]

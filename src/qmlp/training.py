@@ -2,9 +2,10 @@
 
 The run seed derives every stream the loop touches (see rng.py): weight
 init, the per-epoch shuffle, and one generator per (epoch, batch, sample)
-for measurement sampling. Gradients are the mean of per-sample gradients
-over the mini-batch, reduced in sample order; the weight update is
-classical heavy-ball momentum, v <- momentum*v - lr*grad, W <- W + v.
+for measurement sampling, whose seed words are derived once per epoch.
+Gradients are the mean of per-sample gradients over the mini-batch, reduced
+in sample order; the weight update is classical heavy-ball momentum,
+v <- momentum*v - lr*grad, W <- W + v.
 
 Per-epoch training and validation errors are measured with deterministic
 classical-limit forward passes; multi-shot evaluation of every epoch would be
@@ -35,7 +36,7 @@ from .network import (
     ste_backward_batch,
 )
 from .quantum import QuantumConfig, quantum_forward_batch
-from .rng import FORWARD, INIT, SHUFFLE, mix64, substream, substreams
+from .rng import FORWARD, INIT, SHUFFLE, generators, mix64, seed_words, substream
 
 
 @dataclass(frozen=True)
@@ -101,14 +102,18 @@ def sgd_momentum_step(
     lr: float,
     momentum: float,
 ):
-    """In-place heavy-ball update of the weights and their velocity matrices."""
+    """In-place heavy-ball update of the weights and their velocity matrices.
+
+    It consumes `grads`: each gradient is scaled by `lr` in place.
+    """
     if len(grads) != len(params.W):
         raise ShapeMismatch(f"{len(grads)} gradients for {len(params.W)} matrices")
     for w, v, g in zip(params.W, velocity, grads):
         if g.shape != w.shape:
             raise ShapeMismatch(f"gradient shape {g.shape} does not match {w.shape}")
         v *= momentum
-        v -= lr * g
+        g *= lr
+        v -= g
         w += v
 
 
@@ -160,13 +165,18 @@ def train(
     records = []
     for epoch in range(hyper.epochs):
         plan = BatchPlan.make(train_set.count, hyper.batch_size, mix64(hyper.seed, SHUFFLE, epoch))
+        if not hyper.quantum.is_classical:  # row j keys the j-th sample of the epoch's order
+            j = np.arange(train_set.count, dtype=np.uint64)
+            words = seed_words(mix64(hyper.seed, FORWARD, epoch, j // hyper.batch_size,
+                                     j % hyper.batch_size))
         loss_sum = 0.0
         for batch, idx in enumerate(plan.batches()):
             X, y = train_set.X[idx], train_set.y[idx]
             if hyper.quantum.is_classical:
                 trace = classical_forward_batch(params, X.T)
             else:
-                rngs = substreams(hyper.seed, (FORWARD, epoch, batch), range(len(idx)))
+                start = batch * hyper.batch_size
+                rngs = generators(words[start : start + len(idx)])
                 trace = quantum_forward_batch(params, X.T, hyper.quantum, rngs)
             losses, dF = softmax_cross_entropy_batch(trace.F, y)
             loss = float(losses.sum(dtype=np.float64))

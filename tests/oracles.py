@@ -21,7 +21,9 @@ every batched kernel has an independent reference:
   one evaluation stream;
 * `ry_update_allocating` and `weak_update_allocating` are the Bloch-pair
   kernels `ry_update` and `weak_update` with one expression per quantity,
-  each step a new array;
+  each step a new array, and `ste_backward_batch_allocating` and
+  `sgd_momentum_step_allocating` are the training step's kernels written
+  the same way;
 * `pm1_where`, `sign_where`, `draws_by_column` and `where_forward_batch`
   are the select-and-scatter forms of the batched measurement kernels,
   against which those kernels are compared byte for byte (so the sign of
@@ -150,6 +152,30 @@ def ste_backward(
         if k > 1:
             err = params.W[k - 1].T @ delta
     return grads
+
+
+def ste_backward_batch_allocating(params: NetworkParams, trace: BatchTrace, dF, bp_scale=1.0):
+    """ste_backward_batch with one expression per step, each a new array."""
+    B = trace.D[0].shape[1]
+    L = params.num_hidden_layers
+    grads = [None] * len(params.W)
+    grads[L] = (dF @ trace.D[L].T) / B
+    err = params.W[L].T @ dF
+    for k in range(L, 0, -1):
+        dphi = (np.abs(trace.Z[k - 1]) <= bp_scale).astype(err.dtype) / bp_scale
+        delta = err * dphi
+        grads[k - 1] = (delta @ trace.D[k - 1].T) / B
+        if k > 1:
+            err = params.W[k - 1].T @ delta
+    return grads
+
+
+def sgd_momentum_step_allocating(params: NetworkParams, velocity, grads, lr, momentum):
+    """sgd_momentum_step with `lr * g` as a new array, so `grads` are left as they are."""
+    for w, v, g in zip(params.W, velocity, grads):
+        v *= momentum
+        v -= lr * g
+        w += v
 
 
 # --- one qubit ----------------------------------------------------------------

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import time
 from concurrent.futures import Future
 from pathlib import Path
 
@@ -791,6 +792,8 @@ class TestSweep:
         def killed_in_last_cell(hyper, *args, **kwargs):
             if hyper.quantum.a == 1.2:
                 os._exit(9)  # as an OOM kill would end the worker, mid-cell
+            if hyper.quantum.a == 0.8:  # unfinished when the pool breaks, so it runs again
+                time.sleep(1.0)
             return train(hyper, *args, **kwargs)
 
         monkeypatch.setattr(qmlp.sweep, "train", killed_in_last_cell)
@@ -801,6 +804,7 @@ class TestSweep:
         assert rows[0] == CSV_HEADER
         finished = {row.split(",")[0] for row in rows[1:]}
         failed = {a for a in a_values if f"{dirs[a]}: " in err}
+        assert failed == {"1.2"}  # every other cell ran once more, alone, and finished
         assert err.startswith(f"error: {len(failed)} of 4 cells failed, and sweep.csv holds ")
         assert err.count("\n") == 1 and f"{dirs['1.2']}: BrokenProcessPool: " in err
         for a in a_values:

@@ -1,6 +1,7 @@
 import hashlib
 
 import numpy as np
+import pytest
 
 import qmlp.inference
 import qmlp.training
@@ -8,9 +9,9 @@ from qmlp.config import DataConfig, RunConfig
 from qmlp.data import BatchPlan, encode_dataset
 from qmlp.inference import prediction_matrix
 from qmlp.network import init_network_params
-from qmlp.quantum import HALF_PI, QuantumConfig
+from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
 from qmlp.rng import (
-    EVAL, FORWARD, INIT, SHUFFLE, SUBSET, mix64, seed_words, splitmix64, substream, substreams
+    EVAL, FORWARD, INIT, SHUFFLE, SUBSET, generators, mix64, seed_words, splitmix64, substream
 )
 from qmlp.sweep import load_datasets
 from qmlp.training import Hyperparams, train
@@ -82,6 +83,12 @@ def test_seed_words_equal_numpy_seed_sequence():
     assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
+def batch_generators(seed, parts, last):
+    """The generators of the keys (seed, *parts, k) for k in `last`, as training and
+    evaluation derive them: every key's words in one pass, then one PCG64 per row."""
+    return generators(seed_words(mix64(seed, *parts, np.asarray(last, dtype=np.uint64))))
+
+
 def batch_keys():
     """10,240 measurement keys as (seed, parts, last): training batches and evaluation chunks."""
     for seed in (0, 5, 2**64 - 1):
@@ -95,7 +102,7 @@ def batch_keys():
 def test_batch_form_equals_default_rng_key_for_key():
     count = 0
     for seed, parts, last in batch_keys():
-        gens = substreams(seed, parts, last)
+        gens = batch_generators(seed, parts, last)
         assert len(gens) == len(last)
         for k, gen in zip(last, gens):
             assert gen.bit_generator.state == substream(seed, *parts, k).bit_generator.state
@@ -105,22 +112,107 @@ def test_batch_form_equals_default_rng_key_for_key():
 
 def test_batch_form_continues_like_default_rng():
     # a non-zero start, and successive odd-sized float32 draws as multi-shot evaluation takes
-    gens = substreams(11, (EVAL,), range(512, 1024))
+    gens = batch_generators(11, (EVAL,), range(512, 1024))
     refs = [substream(11, EVAL, i) for i in range(512, 1024)]
     for _shot in range(3):
         for gen, ref in zip(gens, refs):
             want = ref.random(15, dtype=np.float32)
             assert gen.random(15, dtype=np.float32).tobytes() == want.tobytes()
-    assert substreams(11, (EVAL,), range(0)) == [] and substreams(11, (FORWARD, 0, 0), []) == []
+    assert batch_generators(11, (EVAL,), range(0)) == []
+    assert batch_generators(11, (FORWARD, 0, 0), []) == []
 
 
 def test_substream_is_the_one_key_case():
-    # substreams takes uint64 last parts, so one outside [0, 2^64) is masked as mix64 masks it
+    # array parts are uint64, so a last part outside [0, 2^64) is masked as mix64 masks it
     for parts in [(INIT,), (SUBSET,), (SHUFFLE,), (FORWARD, 1, 2, 3), (EVAL, 2**64 - 1),
                   (EVAL, -1), (EVAL, 2**64)]:
         *prefix, last = parts
-        [gen] = substreams(13, prefix, [last & (2**64 - 1)])
+        [gen] = batch_generators(13, prefix, [last & (2**64 - 1)])
         assert gen.bit_generator.state == substream(13, *parts).bit_generator.state
+
+
+def test_mix64_array_parts_equal_the_scalar_chain():
+    edges = np.array([0, 1, 2**32, 2**63, 2**64 - 1], dtype=np.uint64)
+    # any part may be an array, and the array parts broadcast: here (5, 1) against (5,)
+    for seed in (0, 2**64 - 1):
+        got = mix64(seed, edges[:, None], FORWARD, edges)
+        assert got.dtype == np.uint64 and got.shape == (5, 5)
+        assert got.tolist() == [[mix64(seed, int(p), FORWARD, int(q)) for q in edges]
+                                for p in edges]
+        got = mix64(seed, FORWARD, 2**64 - 1, edges, 3)
+        assert got.tolist() == [mix64(seed, FORWARD, 2**64 - 1, int(p), 3) for p in edges]
+
+
+def states(rngs):
+    return [gen.bit_generator.state for gen in rngs]
+
+
+def recording_forward(calls):
+    """quantum_forward_batch that first logs the states of the generators it is given."""
+
+    def forward(params, D0, cfg, rngs, **kwargs):
+        calls.append(states(rngs))
+        return quantum_forward_batch(params, D0, cfg, rngs, **kwargs)
+
+    return forward
+
+
+@pytest.mark.parametrize("count, batch_size", [(40, 16), (5, 1), (7, 64)])
+def test_epoch_generators_are_the_per_sample_substreams(count, batch_size, monkeypatch):
+    # 40 at 16 ends on a short batch of 8; 7 at 64 is one short batch
+    hyper = Hyperparams(hidden_layers=2, hidden_size=5, batch_size=batch_size, epochs=2,
+                        quantum=QuantumConfig(a=0.316227766, g=HALF_PI), seed=2**64 - 1)
+    calls = []
+    monkeypatch.setattr(qmlp.training, "quantum_forward_batch", recording_forward(calls))
+    train(hyper, encode_dataset(make_raw_dataset(count, seed=104)),
+          encode_dataset(make_raw_dataset(4, seed=105)))
+    sizes = [min(batch_size, count - start) for start in range(0, count, batch_size)]
+    want = [states(substream(hyper.seed, FORWARD, epoch, b, i) for i in range(size))
+            for epoch in range(2) for b, size in enumerate(sizes)]
+    assert calls == want
+
+
+def test_evaluation_generators_are_the_per_sample_substreams(monkeypatch):
+    # 10 qubits a pass at width 5 make chunks of 2: 7 samples fill 3 and start a 4th
+    params = init_network_params(784, 5, 2, 10, np.random.default_rng(0))
+    data = encode_dataset(make_raw_dataset(7, seed=106))
+    cfg = QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)
+    calls = []
+    monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 10)
+    monkeypatch.setattr(qmlp.inference, "quantum_forward_batch", recording_forward(calls))
+    prediction_matrix(params, data, cfg, 2, seed=9)
+    want = []
+    for start in range(0, 7, 2):
+        refs = [substream(9, EVAL, i) for i in range(start, min(start + 2, 7))]
+        for _shot in range(2):  # each shot continues the stream by one block of L * n
+            want.append(states(refs))
+            for ref in refs:
+                ref.random((2, 5), dtype=np.float32)
+    assert calls == want
+
+
+def test_words_are_derived_once_per_epoch_and_once_per_evaluation(monkeypatch):
+    derived = []
+
+    def counting(values):
+        derived.append(values.size)
+        return seed_words(values)
+
+    for module in (qmlp.training, qmlp.inference):
+        monkeypatch.setattr(module, "seed_words", counting)
+    train_set = encode_dataset(make_raw_dataset(40, seed=101))
+    val_set = encode_dataset(make_raw_dataset(8, seed=102))
+    for cfg, want in [(QuantumConfig(a=0.0, g=HALF_PI), []),
+                      (QuantumConfig(a=0.316227766, g=HALF_PI), [40, 40, 40])]:
+        derived.clear()
+        train(Hyperparams(hidden_layers=2, hidden_size=5, batch_size=16, epochs=3, quantum=cfg),
+              train_set, val_set)
+        assert derived == want
+    derived.clear()
+    params = init_network_params(784, 5, 2, 10, np.random.default_rng(0))
+    monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 10)  # 4 chunks
+    prediction_matrix(params, val_set, QuantumConfig(a=0.5, g=HALF_PI), 3, seed=7)
+    assert derived == [8]
 
 
 class RecordedGenerator:
@@ -140,14 +232,14 @@ class RecordedGenerator:
 
 def draw_digest(monkeypatch, run):
     """(SHA-256 of every random() draw run() takes from qmlp's measurement streams,
-    number of calls); training and evaluation take those streams from `substreams`."""
+    number of calls); training and evaluation build those streams with `generators`."""
     log = []
 
-    def recording(seed, parts, last):
-        return [RecordedGenerator(gen, log) for gen in substreams(seed, parts, last)]
+    def recording(words):
+        return [RecordedGenerator(gen, log) for gen in generators(words)]
 
     for module in (qmlp.training, qmlp.inference):
-        monkeypatch.setattr(module, "substreams", recording)
+        monkeypatch.setattr(module, "generators", recording)
     run()
     return hashlib.sha256(b"".join(log)).hexdigest(), len(log)
 

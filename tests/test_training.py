@@ -23,6 +23,7 @@ from qmlp.training import (
     training_error,
 )
 
+from oracles import sgd_momentum_step_allocating, ste_backward_batch_allocating
 from synthdigits import make_raw_dataset
 from qmlp.data import encode_dataset
 
@@ -73,8 +74,9 @@ class TestSgdMomentumStep:
         g = [np.array([[1.0, -2.0]]), np.array([[3.0]])]
         lr, mu = 0.05, 0.7
         w0 = [w.copy() for w in self.params.W]
-        sgd_momentum_step(self.params, self.velocity, g, lr, mu)
-        sgd_momentum_step(self.params, self.velocity, g, lr, mu)
+        # the step consumes its gradients, so each step gets its own copy
+        sgd_momentum_step(self.params, self.velocity, [x.copy() for x in g], lr, mu)
+        sgd_momentum_step(self.params, self.velocity, [x.copy() for x in g], lr, mu)
         for k in range(2):
             assert np.allclose(self.params.W[k], w0[k] - lr * g[k] * (2 + mu))
 
@@ -276,6 +278,21 @@ class TestTrain:
 # the paper's classical, best-stretch, best-weak and combined points
 PAPER_POINTS = [(0.0, HALF_PI), (0.316227766, HALF_PI), (0.0, 5 * np.pi / 19),
                 (0.4641588834, 9 * np.pi / 19)]
+
+
+@pytest.mark.parametrize("bp_scale", [1.0, 0.37])
+@pytest.mark.parametrize("cfg", [QuantumConfig(a=0.0), QuantumConfig(a=0.316227766)])
+def test_in_place_step_equals_the_allocating_step_byte_for_byte(bp_scale, cfg, tiny_data,
+                                                                monkeypatch):
+    train_set, val_set = tiny_data
+    hyper = tiny_hyper(epochs=3, bp_scale=bp_scale, quantum=cfg)
+    got = train(hyper, train_set, val_set)
+    monkeypatch.setattr(training, "ste_backward_batch", ste_backward_batch_allocating)
+    monkeypatch.setattr(training, "sgd_momentum_step", sgd_momentum_step_allocating)
+    want = train(hyper, train_set, val_set)
+    assert got.records == want.records
+    for a, b in zip(got.params.W + got.velocity, want.params.W + want.velocity):
+        assert a.dtype == b.dtype == np.float32 and a.tobytes() == b.tobytes()
 
 
 class TestFloat32:
