@@ -2,8 +2,8 @@
 
 IDX files are parsed bit-exactly: 4-byte big-endian magic (0x00000803 for
 images, 0x00000801 for labels), big-endian 4-byte dimension sizes, then the
-raw payload bytes. Each file is read once, into a buffer that the parsed
-images view, so loading holds no second copy of it. Images are kept as
+raw payload bytes. Each file is read once, and the parsed images are a
+read-only view of its bytes, with no second copy. Images are kept as
 uint8 grids; `encode_dataset` flattens each row-major and maps pixels to
 float32 in [0, 1] by dividing by 255 in float32; the kernels compute in the
 dtype of their inputs, so this (with the float32 weights) makes a run's
@@ -15,9 +15,9 @@ the first layer, but it must be held fixed for sweep results to be comparable.
 from __future__ import annotations
 
 import math
-import os
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -138,15 +138,11 @@ def parse_idx(data: bytes) -> np.ndarray:
 def read_idx(path, parse):
     """Read one IDX file and parse it; parse errors are re-raised with the path prepended.
 
-    The file is read once, into a buffer sized by its length, which the
-    parsed images view.
+    The file's bytes are read once, and the parsed images are a read-only
+    view of them.
     """
-    with open(path, "rb") as fh:
-        blob = bytearray(os.fstat(fh.fileno()).st_size)
-        del blob[fh.readinto(blob) :]
-        blob += fh.read()  # what fstat did not count: a pipe, or a file that grew
     try:
-        return parse(blob)
+        return parse(Path(path).read_bytes())
     except ValueError as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 

@@ -122,6 +122,16 @@ def test_batch_form_continues_like_default_rng():
     assert batch_generators(11, (FORWARD, 0, 0), []) == []
 
 
+def test_batch_seed_sequence_holds_only_pcg64_words():
+    [gen] = batch_generators(3, (EVAL,), [9])
+    seq = gen.bit_generator.seed_seq
+    want = np.random.SeedSequence(mix64(3, EVAL, 9)).generate_state(4, np.uint64)
+    assert np.array_equal(seq.generate_state(4, np.uint64), want)
+    for n_words, dtype in [(4, np.uint32), (8, np.uint64)]:
+        with pytest.raises(ValueError, match="only the 4 uint64 words"):
+            seq.generate_state(n_words, dtype)
+
+
 def test_substream_is_the_one_key_case():
     # array parts are uint64, so a last part outside [0, 2^64) is masked as mix64 masks it
     for parts in [(INIT,), (SUBSET,), (SHUFFLE,), (FORWARD, 1, 2, 3), (EVAL, 2**64 - 1),
