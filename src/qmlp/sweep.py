@@ -15,13 +15,13 @@ exists is skipped wholesale, so re-running a finished sweep rewrites
 nothing and a crashed sweep resumes where it stopped; a result.json that
 does not parse raises ResultCorrupt, and one whose job record is not the
 asked job's, or that holds none, raises ResultMismatch; a sweep checks
-every cell's result.json before it trains any cell. Cells are
-independent, which is what makes --threads > 1 safe and result-invariant.
-A cell that raises stops no other. A worker that dies breaks the pool, so
-each cell that was running or queued runs once more, alone, and fails only
-if its worker dies again: sweep.csv holds the finished cells' rows, and
-CellsFailed then names each failed cell, so a re-run trains only the failed
-cells.
+every cell's result.json before it trains any cell. Every cell trains in
+a worker process, one at a time at --threads 1; cells are independent, so
+--threads changes no result, and a cell that raises stops no other. A
+worker that dies breaks the pool, so each cell that was running or queued
+runs once more, alone, and fails only if its worker dies again: sweep.csv
+holds the finished cells' rows, and CellsFailed then names each failed
+cell, so a re-run trains only the failed cells.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict
-from functools import lru_cache, partial
+from functools import lru_cache
 from pathlib import Path
 
 from .checkpoint import save_checkpoint, write_atomic
@@ -177,11 +177,11 @@ def cell_dir_name(a: float, g: float, seed: int) -> str:
     return f"a{a!r}_g{g!r}_s{seed}"
 
 
-def _outcome(out_dir: Path, result):
-    """The cell's result(), or the error it raised as text, so that one failing
+def _outcome(out_dir: Path, future):
+    """The cell's result, or the error it raised as text, so that one failing
     cell stops no other; an error no user can cause keeps its traceback."""
     try:
-        return result()
+        return future.result()
     except (QmlpError, OSError, BrokenProcessPool) as exc:
         return f"{out_dir}: {type(exc).__name__}: {exc}"
     except Exception:
@@ -195,8 +195,8 @@ def _run_in_pool(workers: int, jobs) -> list:
 
 
 def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
-    """Run (a, g, seed) cells under out_dir/cells/, possibly in parallel, and
-    write out_dir/sweep.csv from the cells that finish.
+    """Run (a, g, seed) cells under out_dir/cells/ in up to `threads` worker
+    processes, and write out_dir/sweep.csv from the cells that finish.
 
     Every finished cell's result.json is checked against its job before any
     cell trains, so a sweep re-run under another job stops with every byte
@@ -210,14 +210,11 @@ def run_cells(cfg: RunConfig, cells, out_dir, threads: int = 1):
     dirs = [Path(out_dir) / "cells" / cell_dir_name(a, g, seed) for a, g, seed in cells]
     for cell_cfg, cell_dir in zip(cfgs, dirs):
         _finished_result(cell_dir / "result.json", _job(cell_cfg))
-    if threads > 1 and len(cfgs) > 1:
-        futures = _run_in_pool(min(threads, len(cfgs)), zip(cfgs, dirs))
-        # a dead worker breaks the whole pool: each cell it took down runs once more, alone
-        futures = [_run_in_pool(1, [(c, d)])[0] if isinstance(f.exception(), BrokenProcessPool)
-                   else f for c, d, f in zip(cfgs, dirs, futures)]
-        outcomes = [_outcome(d, f.result) for d, f in zip(dirs, futures)]
-    else:
-        outcomes = [_outcome(d, partial(run_training_job, c, d)) for c, d in zip(cfgs, dirs)]
+    futures = _run_in_pool(min(threads, len(cfgs)), zip(cfgs, dirs))
+    # a dead worker breaks the whole pool: each cell it took down runs once more, alone
+    futures = [_run_in_pool(1, [(c, d)])[0] if isinstance(f.exception(), BrokenProcessPool)
+               else f for c, d, f in zip(cfgs, dirs, futures)]
+    outcomes = [_outcome(d, f) for d, f in zip(dirs, futures)]
     results = [r for r in outcomes if isinstance(r, dict)]
     write_sweep_csv(Path(out_dir) / "sweep.csv", results)
     failed = [r for r in outcomes if isinstance(r, str)]

@@ -750,7 +750,11 @@ class TestSweep:
         rows = (out / "sweep.csv").read_text().splitlines()
         assert [row.split(",")[0] for row in rows[1:]] == ["0.0", "0.4", "0.8"]
 
-    def test_failed_cells_are_one_named_error(self, tmp_path, small_idx_dir, monkeypatch):
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="the workers must inherit the patched train by fork")
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_failed_cells_are_one_named_error(self, threads, tmp_path, small_idx_dir,
+                                              monkeypatch):
         cfg = load_config(write_desk_config(tmp_path, small_idx_dir),
                           ["sweep.a_values=[0.0, 0.4, 0.8]", "sweep.g_values=[pi/2]",
                            "sweep.seeds=[3]"])
@@ -758,33 +762,34 @@ class TestSweep:
         blocked, broken = (cells / cell_dir_name(a, HALF_PI, 3) for a in (0.0, 0.4))
         cells.mkdir(parents=True)
         blocked.write_bytes(b"")
-        job = qmlp.sweep.run_training_job
 
-        def break_one(cell_cfg, out_dir):
-            if out_dir == broken:
+        def break_one(hyper, *args, **kwargs):
+            if hyper.quantum.a == 0.4:
                 raise RuntimeError("boom")
-            return job(cell_cfg, out_dir)
+            return train(hyper, *args, **kwargs)
 
-        monkeypatch.setattr(qmlp.sweep, "run_training_job", break_one)
+        monkeypatch.setattr(qmlp.sweep, "train", break_one)
         with pytest.raises(CellsFailed, match="^2 of 3 cells failed") as exc:
-            run_sweep(cfg)
+            run_sweep(cfg, threads=threads)
         message = str(exc.value)
         assert f"{blocked}: FileExistsError: " in message
-        # an error no user can cause keeps its traceback
-        assert f"{broken}: Traceback (most recent call last):" in message
+        # an error no user can cause keeps the worker's traceback
+        assert f"{broken}: " in message
+        assert "Traceback (most recent call last):" in message
         assert "RuntimeError: boom" in message
         rows = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert rows[0] == CSV_HEADER and [row.split(",")[0] for row in rows[1:]] == ["0.8"]
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="the workers must inherit the patched train by fork")
+    @pytest.mark.parametrize("threads", ["1", "2"])
     def test_killed_worker_costs_only_unfinished_cells(
-        self, tmp_path, small_idx_dir, monkeypatch, capsys
+        self, threads, tmp_path, small_idx_dir, monkeypatch, capsys
     ):
         cfg_path = write_desk_config(tmp_path, small_idx_dir)
         out = tmp_path / "out"
         a_values = ["0.0", "0.4", "0.8", "1.2"]
-        argv = ["sweep", "--config", str(cfg_path), "--threads", "2",
+        argv = ["sweep", "--config", str(cfg_path), "--threads", threads,
                 "--set", f"sweep.a_values=[{', '.join(a_values)}]",
                 "--set", "sweep.g_values=[pi/2]", "--set", "sweep.seeds=[3]"]
         dirs = {a: out / "cells" / cell_dir_name(float(a), HALF_PI, 3) for a in a_values}
