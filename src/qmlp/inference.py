@@ -9,13 +9,17 @@ implementation-independent.
 
 from __future__ import annotations
 
+import multiprocessing
+import os
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import EncodedDataset
 from .network import ConfigInvalid, NetworkParams, QmlpError, classical_forward_batch
-from .quantum import QuantumConfig, first_layer, quantum_forward_batch
+from .quantum import QuantumConfig, draw, first_layer, quantum_forward_batch
 from .rng import EVAL, generators, mix64, seed_words
 
 _EVAL_CHUNK = 512  # samples per deterministic pass
@@ -56,6 +60,51 @@ def predict_batch_deterministic(params: NetworkParams, X: np.ndarray) -> np.ndar
     return out
 
 
+def _spare_cpu() -> bool:
+    """Whether a helper thread would run on a CPU that otherwise idles.
+
+    That is, outside a multiprocessing child (a sweep worker already owns
+    its core), with at least 2 CPUs available to the process, and with BLAS
+    started on one thread: OPENBLAS_NUM_THREADS, or OMP_NUM_THREADS when
+    that is unset, reads "1". Unpinned BLAS already holds the second core.
+    """
+    if multiprocessing.parent_process() is not None:
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # not on every platform
+        cpus = os.cpu_count() or 1
+    blas = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS"))
+    return cpus >= 2 and blas == "1"
+
+
+def _pass_draws(words: np.ndarray, chunk: int, shots: int, L: int, n: int, dtype):
+    """The (B, L, n) uniforms of every multi-shot pass, chunk by chunk and shot by shot.
+
+    Each chunk seeds its own samples' generators from their rows of `words`
+    and draws one block per shot, continuing their streams.
+    """
+    for start in range(0, len(words), chunk):
+        rngs = generators(words[start : start + chunk])
+        for _shot in range(shots):
+            yield draw(rngs, L, n, dtype)
+
+
+def _layer_major(draws: np.ndarray) -> np.ndarray:
+    """`draws` (B, L, n) copied so that each layer's (n, B) slice, which the pass
+    reads, is contiguous."""
+    return np.ascontiguousarray(draws.transpose(1, 2, 0)).transpose(2, 0, 1)
+
+
+def _one_ahead(pool: ThreadPoolExecutor, items):
+    """The items of the iterator `items`, each computed on `pool` while the
+    caller works on the one before it; a None item ends them."""
+    pending = pool.submit(next, items, None)
+    while (item := pending.result()) is not None:
+        pending = pool.submit(next, items, None)
+        yield item
+
+
 def prediction_matrix(
     params: NetworkParams,
     data: EncodedDataset,
@@ -77,19 +126,33 @@ def prediction_matrix(
     derived once per call, and each chunk builds only its own samples'
     generators. Layer 1 before its measurement does not depend on the
     draws, so it is computed once per chunk and shared by the chunk's shots.
+
+    Each pass receives its uniforms as quantum_forward_batch's (B, L, n)
+    array. When _spare_cpu() holds, one helper thread, living only for
+    this call, builds each chunk's generators and draws each pass's
+    uniforms one pass ahead, while this thread runs the pass before, and
+    hands them over layer-major, the memory order in which the pass reads
+    them; else this thread draws them as each pass starts and the pass
+    reads them in place (a copy there would cost what it saves). The
+    draws, and so the matrix, are the same values either way.
     """
     n = data.count
-    chunk = max(1, _EVAL_QUBITS // params.W[0].shape[0])
+    width = params.W[0].shape[0]
+    chunk = max(1, _EVAL_QUBITS // width)
     preds = np.empty((n, shots), dtype=np.int64)
     words = seed_words(mix64(seed, EVAL, np.arange(n, dtype=np.uint64)))
-    for start in range(0, n, chunk):
-        stop = min(start + chunk, n)
-        D0 = data.X[start:stop].T
-        first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
-        rngs = generators(words[start:stop])
-        for j in range(shots):
-            F = quantum_forward_batch(params, D0, cfg, rngs, first=first).F
-            preds[start:stop, j] = np.argmax(F, axis=0)
+    passes = _pass_draws(words, chunk, shots, params.num_hidden_layers, width,
+                         np.result_type(params.W[0], data.X))
+    with ThreadPoolExecutor(1) if _spare_cpu() else nullcontext() as helper:
+        if helper is not None:
+            passes = _one_ahead(helper, map(_layer_major, passes))
+        for start in range(0, n, chunk):
+            stop = min(start + chunk, n)
+            D0 = data.X[start:stop].T
+            first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
+            for j in range(shots):
+                F = quantum_forward_batch(params, D0, cfg, next(passes), first=first).F
+                preds[start:stop, j] = np.argmax(F, axis=0)
     return preds
 
 

@@ -152,6 +152,18 @@ def first_layer(params: NetworkParams, D0: np.ndarray, cfg: QuantumConfig):
     return Z, _rotate(Z, cfg, 1.0, (1.0, 0.0))
 
 
+def draw(rngs, L: int, n: int, dtype) -> np.ndarray:
+    """The (B, L, n) uniforms of one forward pass: row s is rngs[s].random((L, n)) in dtype.
+
+    Each generator draws one block of L * n, layer-major and neuron
+    ascending, and so continues its stream by one pass.
+    """
+    draws = np.empty((len(rngs), L, n), dtype=dtype)
+    for row, rng in zip(draws, rngs):
+        rng.random((L, n), dtype=dtype, out=row)
+    return draws
+
+
 def quantum_forward_batch(
     params: NetworkParams,
     D0: np.ndarray,
@@ -167,14 +179,22 @@ def quantum_forward_batch(
     or a = 0 every qubit stays on a pole and only its z is carried (see the
     module docstring); otherwise its Bloch pair goes through ry_update and
     weak_update. Nothing reads the last layer's post-measurement state, so
-    that layer only samples its outcomes. Column s draws L * n uniforms from
-    sample_rngs[s] up front, layer-major and neuron ascending, so a sample's
-    draws do not depend on its batch; a generator passed to successive calls
-    continues its stream, one block per call. Its matrix products may: BLAS
-    can round a column differently in a batch of another width, so a batch
-    can change an activation only at a near-tie, where a value lies within
-    rounding of its threshold. The draws, like every array of the pass, are
-    in the dtype of W[0] @ D0: float32 for float32 weights and inputs.
+    that layer only samples its outcomes.
+
+    `sample_rngs` is B generators, or the (B, L, n) array that
+    draw(sample_rngs, L, n, dtype) returns for them, with n = W[0]'s row
+    count and dtype the pass's; the two forms give the same pass bit for
+    bit, and the array form lets a caller draw a pass's uniforms ahead of
+    it. The array may have any memory order; layer k's (n, B) draws are
+    read as its view U[k - 1], fastest where that view is contiguous.
+    Column s draws L * n uniforms from sample_rngs[s] up front,
+    layer-major and neuron ascending, so a sample's draws do not depend on
+    its batch; a generator passed to successive calls continues its stream,
+    one block per call. Its matrix products may: BLAS can round a column
+    differently in a batch of another width, so a batch can change an
+    activation only at a near-tie, where a value lies within rounding of
+    its threshold. The draws, like every array of the pass, are in the
+    dtype of W[0] @ D0: float32 for float32 weights and inputs.
 
     `first` is first_layer(params, D0, cfg), computed here when None. A
     caller that runs several passes over the same D0 and cfg may compute it
@@ -187,20 +207,24 @@ def quantum_forward_batch(
         raise ShapeMismatch(
             f"quantum forward reuses one qubit per neuron; hidden widths {widths} differ"
         )
-    L = params.num_hidden_layers
+    L, n = params.num_hidden_layers, params.W[0].shape[0]
     B = D0.shape[1]
-    if len(sample_rngs) != B:
-        raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
     dtype = np.result_type(params.W[0], D0)
+    if isinstance(sample_rngs, np.ndarray):
+        draws = sample_rngs
+        if draws.shape != (B, L, n) or draws.dtype != dtype:
+            raise ShapeMismatch(
+                f"need ({B}, {L}, {n}) {dtype} draws, got {draws.shape} {draws.dtype}"
+            )
+    elif len(sample_rngs) != B:
+        raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
+    else:
+        draws = draw(sample_rngs, L, n, dtype)
     # np.sin and np.cos return float64, which would widen the pass
     sin_g, cos_g = dtype.type(np.sin(cfg.g)), dtype.type(np.cos(cfg.g))
     prev = 1.0  # t = 1 after a projective measurement; the other paths set prev per layer
     Z_list, D_list = [], [D0]
     if L:
-        n = params.W[0].shape[0]
-        draws = np.empty((B, L, n), dtype=dtype)
-        for row, rng in zip(draws, sample_rngs):
-            rng.random((L, n), dtype=dtype, out=row)
         U = draws.transpose(1, 2, 0)  # U[k - 1] is layer k's (n, B) draws
         Z, state = first_layer(params, D0, cfg) if first is None else first
     for k in range(1, L + 1):

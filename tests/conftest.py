@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -23,6 +24,15 @@ def no_child_outlives_its_test():
     yield
     children = multiprocessing.active_children()
     assert not children, f"child processes still running: {children}"
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_its_test():
+    """Fail a test that leaves a thread running, such as an evaluation's helper."""
+    before = set(threading.enumerate())
+    yield
+    threads = [t for t in threading.enumerate() if t not in before]
+    assert not threads, f"threads still running: {threads}"
 
 
 def traced_peak(fn, *args, **kwargs):

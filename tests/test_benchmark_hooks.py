@@ -10,6 +10,7 @@ the unit tests as well.
 import importlib.util
 import math
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -117,3 +118,33 @@ def test_tracer_times_each_layers_outcome_sampling():
         for k, parent in enumerate(parents, start=1):
             idx = parent_of[f"quantum.projective_update.L{k}"]
             assert tracer.spans[idx][0] == parent, f"layer {k} at {cfg}"
+
+
+def test_evaluation_helper_calls_no_traced_name(monkeypatch):
+    """With the helper thread forced on, a traced multi-shot evaluation keeps one
+    span stack: the helper seeds generators and draws uniforms, which the tracer
+    does not wrap, and every pass stays one `quantum.forward_batch` span."""
+    tracing = load_tracing()
+    params = network.init_network_params(784, 8, 2, 10, np.random.default_rng(74))
+    data = encode_dataset(make_raw_dataset(40, seed=75))
+    policy = inference.InferencePolicy.multi_shot(5, 3)
+    cfg = quantum.QuantumConfig(a=0.4641588834, g=9 * math.pi / 19)
+    monkeypatch.setattr(inference, "_EVAL_QUBITS", 128)  # 16 samples a pass: 3 passes a shot
+    monkeypatch.setattr(inference, "_spare_cpu", lambda: False)
+    serial = inference.evaluate(params, data, policy, quantum=cfg)
+    monkeypatch.setattr(inference, "_spare_cpu", lambda: True)
+    tracer = tracing.Tracer()
+    opened_on, open_span = [], tracer.open
+
+    def recording_open(name):
+        opened_on.append(threading.current_thread())
+        return open_span(name)
+
+    tracer.open = recording_open
+    with tracer:
+        error = inference.evaluate(params, data, policy, quantum=cfg)
+    assert error == serial
+    assert tracer.accounting_errors() == 0
+    assert set(opened_on) == {threading.main_thread()}
+    names = [span[0] for span in tracer.spans]
+    assert names.count("quantum.forward_batch") == 3 * 5

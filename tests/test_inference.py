@@ -1,3 +1,7 @@
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,7 +18,7 @@ from qmlp.inference import (
     vote_errors,
 )
 from qmlp.network import NetworkParams, init_network_params
-from qmlp.quantum import HALF_PI, QuantumConfig, quantum_forward_batch
+from qmlp.quantum import HALF_PI, QuantumConfig, draw, quantum_forward_batch
 from qmlp.rng import EVAL, substream
 
 from oracles import as_float64, classical_forward, shot_predictions
@@ -374,6 +378,139 @@ class TestVoteErrors:
         data = EncodedDataset(X=np.zeros((0, 4)), y=np.zeros(0, dtype=np.int64))
         with pytest.raises(EmptyDataset):
             vote_errors(NetworkParams([np.eye(4)]), data, QuantumConfig(a=0.5), 3, seed=0)
+
+
+def available_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+def force_helper(monkeypatch, on: bool) -> list:
+    """Force the helper thread on or off; returns a list that records, per pass's
+    draws, whether they were made on the main thread."""
+    on_main = []
+
+    def recorded(*args):
+        on_main.append(threading.current_thread() is threading.main_thread())
+        return draw(*args)
+
+    monkeypatch.setattr(qmlp.inference, "_spare_cpu", lambda: on)
+    monkeypatch.setattr(qmlp.inference, "draw", recorded)
+    return on_main
+
+
+class TestHelperThread:
+    """Each pass's draws are made one pass ahead on a helper thread when a CPU would
+    idle, and the matrix has the same bytes either way."""
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["serial", "helper"])
+    @pytest.mark.parametrize("shots", [1, 5])
+    @pytest.mark.parametrize("net", ["3", "0", "3x5"])
+    @pytest.mark.parametrize("a, g", POINTS[:4], ids=["weak", "a-zero", "projective", "classical"])
+    def test_matrix_bytes(self, a, g, net, shots, helper, monkeypatch):
+        # 40 samples in passes of 16 leave a partial last pass
+        layers, width, qubits = NETS[net]
+        monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", qubits)
+        params = init_network_params(784, width, layers, 10, np.random.default_rng(33))
+        data = encode_dataset(make_raw_dataset(40, seed=308))
+        cfg = QuantumConfig(a=a, g=g)
+        want = per_shot_passes(params, data, cfg, shots, seed=34)
+        on_main = force_helper(monkeypatch, helper)
+        got = prediction_matrix(params, data, cfg, shots, seed=34)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert on_main == [not helper] * (3 * shots)
+
+    @pytest.mark.parametrize("helper", [False, True], ids=["serial", "helper"])
+    def test_the_helper_hands_over_layer_major_draws(self, helper, monkeypatch):
+        monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 32)  # 4 samples per 2x8 pass
+        params = init_network_params(784, 8, 2, 10, np.random.default_rng(37))
+        data = encode_dataset(make_raw_dataset(12, seed=310))
+        force_helper(monkeypatch, helper)
+        layer_major = []
+
+        def recording(params, D0, cfg, draws, first=None):
+            layer_major.append(draws.transpose(1, 2, 0).flags.c_contiguous)
+            return quantum_forward_batch(params, D0, cfg, draws, first=first)
+
+        monkeypatch.setattr(qmlp.inference, "quantum_forward_batch", recording)
+        prediction_matrix(params, data, QuantumConfig(a=0.5, g=1.0), 2, seed=38)
+        assert layer_major == [helper] * (3 * 2)
+
+    def test_vote_errors_do_not_change(self, monkeypatch):
+        monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 80)  # passes of 16
+        params = init_network_params(784, 5, 3, 10, np.random.default_rng(25))
+        data = encode_dataset(make_raw_dataset(60, seed=304))
+        cfg = QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)
+        matrix = per_shot_passes(params, data, cfg, 9, seed=26)
+        want = [float(np.mean(final_mode(matrix[:, :k]) != data.y)) for k in range(1, 10)]
+        for helper in (False, True):
+            force_helper(monkeypatch, helper)
+            got = vote_errors(params, data, cfg, 9, seed=26)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("where", ["pass", "draws"])
+    def test_a_failure_reaches_the_caller_and_ends_the_helper(self, where, monkeypatch):
+        monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 32)  # 4 samples per 2x8 pass
+        params = init_network_params(784, 8, 2, 10, np.random.default_rng(35))
+        data = encode_dataset(make_raw_dataset(12, seed=309))
+        on_main = force_helper(monkeypatch, True)
+        calls = []
+
+        class Failed(Exception):
+            pass
+
+        def fails_fourth(fn):
+            def wrapper(*args, **kwargs):
+                calls.append(fn)
+                if len(calls) == 4:
+                    raise Failed(where)
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        if where == "pass":
+            monkeypatch.setattr(qmlp.inference, "quantum_forward_batch",
+                                fails_fourth(quantum_forward_batch))
+        else:
+            monkeypatch.setattr(qmlp.inference, "draw", fails_fourth(qmlp.inference.draw))
+        before = set(threading.enumerate())
+        with pytest.raises(Failed, match=f"^{where}$"):
+            prediction_matrix(params, data, QuantumConfig(a=0.5, g=1.0), 3, seed=36)
+        assert set(threading.enumerate()) == before
+        assert on_main and not any(on_main)
+
+
+class TestSpareCpu:
+    """The rule for the helper: outside a multiprocessing child, with 2 or more CPUs,
+    and with BLAS started on one thread."""
+
+    def pin(self, monkeypatch, openblas, omp):
+        for var, value in (("OPENBLAS_NUM_THREADS", openblas), ("OMP_NUM_THREADS", omp)):
+            if value is None:
+                monkeypatch.delenv(var, raising=False)
+            else:
+                monkeypatch.setenv(var, value)
+
+    @pytest.mark.parametrize("openblas, omp, want", [
+        ("1", None, True), ("1", "4", True), (None, "1", True), ("2", "1", False),
+        (None, None, False), (None, "2", False),
+    ])
+    def test_blas_threads(self, openblas, omp, want, monkeypatch):
+        if available_cpus() < 2:
+            pytest.skip("one CPU available to this process")
+        self.pin(monkeypatch, openblas, omp)
+        assert qmlp.inference._spare_cpu() is want
+
+    @pytest.mark.parametrize("cpus, want", [(None, False), (1, False), (2, True), (8, True)])
+    def test_cpu_count_stands_in_for_the_affinity(self, cpus, want, monkeypatch):
+        self.pin(monkeypatch, "1", None)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert qmlp.inference._spare_cpu() is want
+
+    def test_false_in_a_worker_process(self, monkeypatch):
+        self.pin(monkeypatch, "1", None)
+        with ProcessPoolExecutor(1) as pool:
+            assert pool.submit(qmlp.inference._spare_cpu).result(timeout=60) is False
 
 
 class TestPolicy:

@@ -11,6 +11,7 @@ from qmlp.network import (
 from qmlp.quantum import (
     HALF_PI,
     QuantumConfig,
+    draw,
     first_layer,
     phi_a,
     projective_update,
@@ -500,6 +501,34 @@ class TestQuantumForward:
         streams = [substream(4, FORWARD, 0, 0, s) for s in range(4 + extra)]
         with pytest.raises(ShapeMismatch, match=f"^need 4 sample generators, got {4 + extra}$"):
             quantum_forward_batch(params, X, QuantumConfig(a=0.3), streams)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    @pytest.mark.parametrize("a, g", [(0.316227766, HALF_PI), (0.4641588834, 9 * np.pi / 19)])
+    def test_draws_array_gives_the_pass_of_its_generators(self, a, g, layers, dtype):
+        rng = np.random.default_rng(26)
+        params = init_network_params(6, 5, layers, 3, rng)
+        params.W = [w.astype(dtype) for w in params.W]
+        X = rng.uniform(0, 1, size=(6, 7)).astype(dtype)
+        cfg = QuantumConfig(a=a, g=g)
+        streams = [substream(7, FORWARD, 0, 0, s) for s in range(7)]
+        trace = quantum_forward_batch(params, X, cfg, streams)
+        streams = [substream(7, FORWARD, 0, 0, s) for s in range(7)]
+        draws = draw(streams, layers, params.W[0].shape[0], dtype)
+        assert draws.shape == (7, layers, params.W[0].shape[0]) and draws.dtype == dtype
+        again = quantum_forward_batch(params, X, cfg, draws)
+        for got, want in zip(again.Z + again.D + [again.F], trace.Z + trace.D + [trace.F]):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("shape, dtype", [((4, 2, 6), np.float64), ((3, 2, 5), np.float64),
+                                              ((4, 1, 5), np.float64), ((4, 2, 5), np.float32)])
+    def test_draws_array_must_fit_the_pass(self, shape, dtype):
+        rng = np.random.default_rng(27)
+        params = init_network_params(6, 5, 2, 3, rng)
+        params.W = [w.astype(np.float64) for w in params.W]
+        X = rng.uniform(0, 1, size=(6, 4))
+        with pytest.raises(ShapeMismatch, match=r"^need \(4, 2, 5\) float64 draws, got "):
+            quantum_forward_batch(params, X, QuantumConfig(a=0.3), np.zeros(shape, dtype))
 
     def test_batch_matches_per_sample(self):
         rng = np.random.default_rng(23)

@@ -158,10 +158,11 @@ def states(rngs):
 
 
 def recording_forward(calls):
-    """quantum_forward_batch that first logs the states of the generators it is given."""
+    """quantum_forward_batch that first logs the states of the generators it is given,
+    or a copy of the array of draws it is given in their place."""
 
     def forward(params, D0, cfg, rngs, **kwargs):
-        calls.append(states(rngs))
+        calls.append(rngs.copy() if isinstance(rngs, np.ndarray) else states(rngs))
         return quantum_forward_batch(params, D0, cfg, rngs, **kwargs)
 
     return forward
@@ -190,15 +191,17 @@ def test_evaluation_generators_are_the_per_sample_substreams(monkeypatch):
     calls = []
     monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 10)
     monkeypatch.setattr(qmlp.inference, "quantum_forward_batch", recording_forward(calls))
-    prediction_matrix(params, data, cfg, 2, seed=9)
     want = []
     for start in range(0, 7, 2):
         refs = [substream(9, EVAL, i) for i in range(start, min(start + 2, 7))]
         for _shot in range(2):  # each shot continues the stream by one block of L * n
-            want.append(states(refs))
-            for ref in refs:
-                ref.random((2, 5), dtype=np.float32)
-    assert calls == want
+            want.append(np.stack([ref.random((2, 5), dtype=np.float32) for ref in refs]))
+    want = [(w.shape, w.dtype, w.tobytes()) for w in want]
+    for helper in (False, True):  # the draws are made on this thread, or one pass ahead
+        calls.clear()
+        monkeypatch.setattr(qmlp.inference, "_spare_cpu", lambda helper=helper: helper)
+        prediction_matrix(params, data, cfg, 2, seed=9)
+        assert [(c.shape, c.dtype, c.tobytes()) for c in calls] == want
 
 
 def test_words_are_derived_once_per_epoch_and_once_per_evaluation(monkeypatch):

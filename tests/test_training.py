@@ -324,7 +324,10 @@ class TestFloat32:
                 return u
 
         def recording_forward(params, D0, cfg, rngs, first=None):
-            rngs = [RecordingDraws(r) for r in rngs]
+            if isinstance(rngs, np.ndarray):  # a pass's draws, made before the pass
+                seen["draws"].append(rngs)
+            else:
+                rngs = [RecordingDraws(r) for r in rngs]
             trace = quantum_forward_batch(params, D0, cfg, rngs, first=first)
             seen["traces"].append(trace)
             return trace
