@@ -79,7 +79,7 @@ def _spare_cpu() -> bool:
 
 
 def _pass_draws(words: np.ndarray, chunk: int, shots: int, L: int, n: int, dtype):
-    """The (B, L, n) uniforms of every multi-shot pass, chunk by chunk and shot by shot.
+    """The (L, n, B) uniforms of every multi-shot pass, chunk by chunk and shot by shot.
 
     Each chunk seeds its own samples' generators from their rows of `words`
     and draws one block per shot, continuing their streams.
@@ -88,12 +88,6 @@ def _pass_draws(words: np.ndarray, chunk: int, shots: int, L: int, n: int, dtype
         rngs = generators(words[start : start + chunk])
         for _shot in range(shots):
             yield draw(rngs, L, n, dtype)
-
-
-def _layer_major(draws: np.ndarray) -> np.ndarray:
-    """`draws` (B, L, n) copied so that each layer's (n, B) slice, which the pass
-    reads, is contiguous."""
-    return np.ascontiguousarray(draws.transpose(1, 2, 0)).transpose(2, 0, 1)
 
 
 def _one_ahead(pool: ThreadPoolExecutor, items):
@@ -127,14 +121,12 @@ def prediction_matrix(
     generators. Layer 1 before its measurement does not depend on the
     draws, so it is computed once per chunk and shared by the chunk's shots.
 
-    Each pass receives its uniforms as quantum_forward_batch's (B, L, n)
-    array. When _spare_cpu() holds, one helper thread, living only for
-    this call, builds each chunk's generators and draws each pass's
-    uniforms one pass ahead, while this thread runs the pass before, and
-    hands them over layer-major, the memory order in which the pass reads
-    them; else this thread draws them as each pass starts and the pass
-    reads them in place (a copy there would cost what it saves). The
-    draws, and so the matrix, are the same values either way.
+    Each pass receives its uniforms as the (L, n, B) array that
+    quantum.draw returns. When _spare_cpu() holds, one helper thread,
+    living only for this call, builds each chunk's generators and draws
+    each pass's array one pass ahead, while this thread runs the pass
+    before; else this thread draws it as each pass starts. The draws, and
+    so the matrix, are the same bytes either way.
     """
     n = data.count
     width = params.W[0].shape[0]
@@ -145,7 +137,7 @@ def prediction_matrix(
                          np.result_type(params.W[0], data.X))
     with ThreadPoolExecutor(1) if _spare_cpu() else nullcontext() as helper:
         if helper is not None:
-            passes = _one_ahead(helper, map(_layer_major, passes))
+            passes = _one_ahead(helper, passes)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             D0 = data.X[start:stop].T

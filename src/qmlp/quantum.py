@@ -19,7 +19,9 @@ Conventions
   else -1, for <Z> = z. A weak measurement samples its ancilla, at z sin g.
 * Every measurement consumes exactly one uniform draw from the supplied
   generator. A forward pass consumes draws layer-major, neuron index
-  ascending. Both facts are reproducibility contracts.
+  ascending. Both facts are reproducibility contracts. A pass holds its
+  draws as one C-contiguous (L, n, B) array, which draw() returns, so each
+  layer reads one contiguous (n, B) slice.
 
 The channel is tuned by two knobs: the activation stretch `a` (a = 0 gives
 hard sign targets, so rotation angles are 0 or +-pi) and the entanglement
@@ -153,15 +155,18 @@ def first_layer(params: NetworkParams, D0: np.ndarray, cfg: QuantumConfig):
 
 
 def draw(rngs, L: int, n: int, dtype) -> np.ndarray:
-    """The (B, L, n) uniforms of one forward pass: row s is rngs[s].random((L, n)) in dtype.
+    """The (L, n, B) uniforms of one forward pass, C-contiguous: column s holds
+    rngs[s].random((L, n)) in dtype, so layer k's (n, B) draws are draws[k - 1].
 
     Each generator draws one block of L * n, layer-major and neuron
-    ascending, and so continues its stream by one pass.
+    ascending, into its own row of a sample-major scratch array, and so
+    continues its stream by one pass; the result is that array copied
+    layer-major.
     """
-    draws = np.empty((len(rngs), L, n), dtype=dtype)
-    for row, rng in zip(draws, rngs):
+    rows = np.empty((len(rngs), L, n), dtype=dtype)
+    for row, rng in zip(rows, rngs):
         rng.random((L, n), dtype=dtype, out=row)
-    return draws
+    return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
 
 
 def quantum_forward_batch(
@@ -181,20 +186,19 @@ def quantum_forward_batch(
     weak_update. Nothing reads the last layer's post-measurement state, so
     that layer only samples its outcomes.
 
-    `sample_rngs` is B generators, or the (B, L, n) array that
+    `sample_rngs` is B generators, or the (L, n, B) array that
     draw(sample_rngs, L, n, dtype) returns for them, with n = W[0]'s row
     count and dtype the pass's; the two forms give the same pass bit for
     bit, and the array form lets a caller draw a pass's uniforms ahead of
-    it. The array may have any memory order; layer k's (n, B) draws are
-    read as its view U[k - 1], fastest where that view is contiguous.
-    Column s draws L * n uniforms from sample_rngs[s] up front,
-    layer-major and neuron ascending, so a sample's draws do not depend on
-    its batch; a generator passed to successive calls continues its stream,
-    one block per call. Its matrix products may: BLAS can round a column
-    differently in a batch of another width, so a batch can change an
-    activation only at a near-tie, where a value lies within rounding of
-    its threshold. The draws, like every array of the pass, are in the
-    dtype of W[0] @ D0: float32 for float32 weights and inputs.
+    it; layer k reads the array's contiguous (n, B) slice [k - 1]. Column s
+    draws L * n uniforms from sample_rngs[s] up front, layer-major and
+    neuron ascending, so a sample's draws do not depend on its batch; a
+    generator passed to successive calls continues its stream, one block
+    per call. Its matrix products may: BLAS can round a column differently
+    in a batch of another width, so a batch can change an activation only
+    at a near-tie, where a value lies within rounding of its threshold.
+    The draws, like every array of the pass, are in the dtype of
+    W[0] @ D0: float32 for float32 weights and inputs.
 
     `first` is first_layer(params, D0, cfg), computed here when None. A
     caller that runs several passes over the same D0 and cfg may compute it
@@ -211,21 +215,18 @@ def quantum_forward_batch(
     B = D0.shape[1]
     dtype = np.result_type(params.W[0], D0)
     if isinstance(sample_rngs, np.ndarray):
-        draws = sample_rngs
-        if draws.shape != (B, L, n) or draws.dtype != dtype:
-            raise ShapeMismatch(
-                f"need ({B}, {L}, {n}) {dtype} draws, got {draws.shape} {draws.dtype}"
-            )
+        U = sample_rngs
+        if U.shape != (L, n, B) or U.dtype != dtype:
+            raise ShapeMismatch(f"need ({L}, {n}, {B}) {dtype} draws, got {U.shape} {U.dtype}")
     elif len(sample_rngs) != B:
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
     else:
-        draws = draw(sample_rngs, L, n, dtype)
+        U = draw(sample_rngs, L, n, dtype)
     # np.sin and np.cos return float64, which would widen the pass
     sin_g, cos_g = dtype.type(np.sin(cfg.g)), dtype.type(np.cos(cfg.g))
     prev = 1.0  # t = 1 after a projective measurement; the other paths set prev per layer
     Z_list, D_list = [], [D0]
     if L:
-        U = draws.transpose(1, 2, 0)  # U[k - 1] is layer k's (n, B) draws
         Z, state = first_layer(params, D0, cfg) if first is None else first
     for k in range(1, L + 1):
         if k > 1:  # rotate by the angle the previous outcomes give

@@ -428,12 +428,12 @@ class TestHelperThread:
         layer_major = []
 
         def recording(params, D0, cfg, draws, first=None):
-            layer_major.append(draws.transpose(1, 2, 0).flags.c_contiguous)
+            layer_major.append((draws.shape, draws.flags.c_contiguous))
             return quantum_forward_batch(params, D0, cfg, draws, first=first)
 
         monkeypatch.setattr(qmlp.inference, "quantum_forward_batch", recording)
         prediction_matrix(params, data, QuantumConfig(a=0.5, g=1.0), 2, seed=38)
-        assert layer_major == [helper] * (3 * 2)
+        assert layer_major == [((2, 8, 4), True)] * (3 * 2)
 
     def test_vote_errors_do_not_change(self, monkeypatch):
         monkeypatch.setattr(qmlp.inference, "_EVAL_QUBITS", 80)  # passes of 16

@@ -27,6 +27,7 @@ from oracles import (
     amplitude_ry_update,
     amplitude_weak_update,
     apply_ry,
+    draws_by_column,
     projective_measure,
     reference_forward,
     rotation_angle,
@@ -503,6 +504,21 @@ class TestQuantumForward:
             quantum_forward_batch(params, X, QuantumConfig(a=0.3), streams)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("B", [1, 7])
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_draw_is_its_oracle_layer_major(self, layers, B, dtype):
+        # width 5 draws an odd 15 float32 uniforms a pass at L = 3, so the second
+        # pass starts half-way through a 64-bit output
+        streams = [substream(8, FORWARD, 0, 0, s) for s in range(B)]
+        refs = [substream(8, FORWARD, 0, 0, s) for s in range(B)]
+        for _pass in range(2):  # the second pass continues each stream
+            got = draw(streams, layers, 5, dtype)
+            want = draws_by_column(refs, layers, 5, dtype)
+            assert got.flags.c_contiguous
+            assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((layers, 5, B), dtype)
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers", [0, 1, 3])
     @pytest.mark.parametrize("a, g", [(0.316227766, HALF_PI), (0.4641588834, 9 * np.pi / 19)])
     def test_draws_array_gives_the_pass_of_its_generators(self, a, g, layers, dtype):
@@ -515,19 +531,20 @@ class TestQuantumForward:
         trace = quantum_forward_batch(params, X, cfg, streams)
         streams = [substream(7, FORWARD, 0, 0, s) for s in range(7)]
         draws = draw(streams, layers, params.W[0].shape[0], dtype)
-        assert draws.shape == (7, layers, params.W[0].shape[0]) and draws.dtype == dtype
+        assert draws.shape == (layers, params.W[0].shape[0], 7) and draws.dtype == dtype
         again = quantum_forward_batch(params, X, cfg, draws)
         for got, want in zip(again.Z + again.D + [again.F], trace.Z + trace.D + [trace.F]):
             assert got.dtype == dtype and got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("shape, dtype", [((4, 2, 6), np.float64), ((3, 2, 5), np.float64),
-                                              ((4, 1, 5), np.float64), ((4, 2, 5), np.float32)])
+    @pytest.mark.parametrize("shape, dtype", [((2, 6, 4), np.float64), ((2, 5, 3), np.float64),
+                                              ((1, 5, 4), np.float64), ((2, 5, 4), np.float32),
+                                              ((4, 2, 5), np.float64)])  # sample-major
     def test_draws_array_must_fit_the_pass(self, shape, dtype):
         rng = np.random.default_rng(27)
         params = init_network_params(6, 5, 2, 3, rng)
         params.W = [w.astype(np.float64) for w in params.W]
         X = rng.uniform(0, 1, size=(6, 4))
-        with pytest.raises(ShapeMismatch, match=r"^need \(4, 2, 5\) float64 draws, got "):
+        with pytest.raises(ShapeMismatch, match=r"^need \(2, 5, 4\) float64 draws, got "):
             quantum_forward_batch(params, X, QuantumConfig(a=0.3), np.zeros(shape, dtype))
 
     def test_batch_matches_per_sample(self):

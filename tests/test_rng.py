@@ -195,7 +195,7 @@ def test_evaluation_generators_are_the_per_sample_substreams(monkeypatch):
     for start in range(0, 7, 2):
         refs = [substream(9, EVAL, i) for i in range(start, min(start + 2, 7))]
         for _shot in range(2):  # each shot continues the stream by one block of L * n
-            want.append(np.stack([ref.random((2, 5), dtype=np.float32) for ref in refs]))
+            want.append(np.stack([ref.random((2, 5), dtype=np.float32) for ref in refs], axis=-1))
     want = [(w.shape, w.dtype, w.tobytes()) for w in want]
     for helper in (False, True):  # the draws are made on this thread, or one pass ahead
         calls.clear()
