@@ -14,11 +14,13 @@ Pin BLAS (OPENBLAS_NUM_THREADS=1) for both runs, on the same machine.
 
 The script writes the synthetic corpus of tests/synthdigits.py into a
 temporary directory and runs there, through `qmlp.cli.main`: `train` and
-then `eval --shots-curve 20` at the four paper points, and one 2x2 `sweep`
-at --threads 1 and one at --threads 2, all on 2x128 nets for 5 epochs with
-15 shots. The config names its paths relative to that directory, so the
-job records do not depend on where the script ran, and nothing is written
-into the checkout. It prints one `sha256  path` line per metrics.jsonl,
+then `eval --shots-curve 20` at the four paper points on 2x128 nets and at
+the combined point on a 3x32 net, whose middle layer weakly measures the
+Bloch pairs carried from layer 1, and one 2x2 `sweep` at --threads 1 and
+one at --threads 2 on 2x128 nets, all for 5 epochs with 15 shots. The
+config names its paths relative to that directory, so the job records do
+not depend on where the script ran, and nothing is written into the
+checkout. It prints one `sha256  path` line per metrics.jsonl,
 checkpoint.qckpt, shots_curve.csv, result.json and sweep.csv, the last two
 hashed with wall_time_s removed, and sends the CLI's own output to stderr.
 It exits 1 if the two sweeps' files differ.
@@ -65,6 +67,11 @@ POINTS = {
     "weak": ("0.0", "5pi/19"),
     "combined": ("0.4641588834", "9pi/19"),
 }
+# the four points on the config's 2x128 nets, and the combined point on a 3x32 net
+JOBS = {name: ["--set", f"quantum.a={a}", "--set", f"quantum.g={g}"]
+        for name, (a, g) in POINTS.items()}
+JOBS["combined-3x32"] = [*JOBS["combined"], "--set", "model.hidden_layers=3",
+                         "--set", "model.hidden_size=32"]
 SWEEP = ["--set", "sweep.a_values=[0.0, 0.316227766]", "--set", "sweep.g_values=[pi/2, 5pi/19]",
          "--set", "sweep.seeds=[2]"]
 ARTIFACTS = ("metrics.jsonl", "checkpoint.qckpt", "shots_curve.csv", "result.json", "sweep.csv")
@@ -105,10 +112,9 @@ def jobs():
     write_idx_pair(Path("data"), make_raw_dataset(2000, seed=1), "train")
     write_idx_pair(Path("data"), make_raw_dataset(1200, seed=2), "t10k")
     Path("config.yaml").write_text(CONFIG)
-    for name, (a, g) in POINTS.items():
-        point = ["--set", f"quantum.a={a}", "--set", f"quantum.g={g}"]
-        run("train", *point, "--out", f"train/{name}")
-        run("eval", *point, "--checkpoint", f"train/{name}/checkpoint.qckpt",
+    for name, options in JOBS.items():
+        run("train", *options, "--out", f"train/{name}")
+        run("eval", *options, "--checkpoint", f"train/{name}/checkpoint.qckpt",
             "--shots-curve", "20", "--out", f"train/{name}")
     for threads in ("1", "2"):
         run("sweep", *SWEEP, "--threads", threads, "--out", f"sweep-{threads}")

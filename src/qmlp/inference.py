@@ -19,8 +19,8 @@ import numpy as np
 
 from .data import EncodedDataset
 from .network import ConfigInvalid, NetworkParams, QmlpError, classical_forward_batch
-from .quantum import QuantumConfig, draw, first_layer, quantum_forward_batch
-from .rng import EVAL, generators, mix64, seed_words
+from .quantum import QuantumConfig, first_layer, passes, quantum_forward_batch
+from .rng import EVAL, mix64
 
 _EVAL_CHUNK = 512  # samples per deterministic pass
 _EVAL_QUBITS = 65_536  # qubits per multi-shot pass, so that a weak layer's arrays stay in L2
@@ -78,18 +78,6 @@ def _spare_cpu() -> bool:
     return cpus >= 2 and blas == "1"
 
 
-def _pass_draws(words: np.ndarray, chunk: int, shots: int, L: int, n: int, dtype):
-    """The (L, n, B) uniforms of every multi-shot pass, chunk by chunk and shot by shot.
-
-    Each chunk seeds its own samples' generators from their rows of `words`
-    and draws one block per shot, continuing their streams.
-    """
-    for start in range(0, len(words), chunk):
-        rngs = generators(words[start : start + chunk])
-        for _shot in range(shots):
-            yield draw(rngs, L, n, dtype)
-
-
 def _one_ahead(pool: ThreadPoolExecutor, items):
     """The items of the iterator `items`, each computed on `pool` while the
     caller works on the one before it; a None item ends them."""
@@ -116,34 +104,33 @@ def prediction_matrix(
     a prediction only at a near-tie. Shot j cannot be replayed without
     drawing the j earlier blocks. A chunk holds _EVAL_QUBITS // width
     samples (at least one), where width is W[0]'s row count, so that the
-    arrays of a pass stay in cache. The seed words of all n streams are
-    derived once per call, and each chunk builds only its own samples'
-    generators. Layer 1 before its measurement does not depend on the
-    draws, so it is computed once per chunk and shared by the chunk's shots.
+    arrays of a pass stay in cache. Layer 1 before its measurement does not
+    depend on the draws, so it is computed once per chunk and shared by the
+    chunk's shots.
 
     Each pass receives its uniforms as the (L, n, B) array that
-    quantum.draw returns. When _spare_cpu() holds, one helper thread,
-    living only for this call, builds each chunk's generators and draws
-    each pass's array one pass ahead, while this thread runs the pass
-    before; else this thread draws it as each pass starts. The draws, and
-    so the matrix, are the same bytes either way.
+    quantum.passes yields, which derives the seed words of all n streams
+    once per call and builds each chunk's generators as it reaches it. When
+    _spare_cpu() holds, one helper thread, living only for this call, makes
+    those arrays one pass ahead, while this thread runs the pass before;
+    else this thread draws each as its pass starts. The draws, and so the
+    matrix, are the same bytes either way.
     """
     n = data.count
     width = params.W[0].shape[0]
     chunk = max(1, _EVAL_QUBITS // width)
     preds = np.empty((n, shots), dtype=np.int64)
-    words = seed_words(mix64(seed, EVAL, np.arange(n, dtype=np.uint64)))
-    passes = _pass_draws(words, chunk, shots, params.num_hidden_layers, width,
-                         np.result_type(params.W[0], data.X))
+    keys = mix64(seed, EVAL, np.arange(n, dtype=np.uint64))
+    draws = passes(params, keys, chunk, shots, np.result_type(params.W[0], data.X))
     with ThreadPoolExecutor(1) if _spare_cpu() else nullcontext() as helper:
         if helper is not None:
-            passes = _one_ahead(helper, passes)
+            draws = _one_ahead(helper, draws)
         for start in range(0, n, chunk):
             stop = min(start + chunk, n)
             D0 = data.X[start:stop].T
             first = first_layer(params, D0, cfg) if params.num_hidden_layers else None
             for j in range(shots):
-                F = quantum_forward_batch(params, D0, cfg, next(passes), first=first).F
+                F = quantum_forward_batch(params, D0, cfg, next(draws), first=first).F
                 preds[start:stop, j] = np.argmax(F, axis=0)
     return preds
 

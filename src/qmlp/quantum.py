@@ -50,6 +50,7 @@ import numpy as np
 from .network import (
     BatchTrace, ConfigInvalid, NetworkParams, ShapeMismatch, check_features, htanh, pm1, sign
 )
+from .rng import generators, seed_words
 
 HALF_PI = np.pi / 2
 
@@ -169,6 +170,19 @@ def draw(rngs, L: int, n: int, dtype) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
 
 
+def passes(params: NetworkParams, keys: np.ndarray, group: int, shots: int, dtype):
+    """The draw() arrays of every pass over the uint64 measurement `keys`, in order:
+    the keys' seed words are derived once, and each run of `group` consecutive keys
+    (the last may be shorter) builds its generators and draws `shots` successive
+    passes from them. L and n are read as quantum_forward_batch reads them."""
+    words = seed_words(keys)
+    L, n = params.num_hidden_layers, params.W[0].shape[0]
+    for start in range(0, len(words), group):
+        rngs = generators(words[start : start + group])
+        for _shot in range(shots):
+            yield draw(rngs, L, n, dtype)
+
+
 def quantum_forward_batch(
     params: NetworkParams,
     D0: np.ndarray,
@@ -186,18 +200,16 @@ def quantum_forward_batch(
     weak_update. Nothing reads the last layer's post-measurement state, so
     that layer only samples its outcomes.
 
-    `sample_rngs` is B generators, or the (L, n, B) array that
-    draw(sample_rngs, L, n, dtype) returns for them, with n = W[0]'s row
-    count and dtype the pass's; the two forms give the same pass bit for
-    bit, and the array form lets a caller draw a pass's uniforms ahead of
-    it; layer k reads the array's contiguous (n, B) slice [k - 1]. Column s
-    draws L * n uniforms from sample_rngs[s] up front, layer-major and
-    neuron ascending, so a sample's draws do not depend on its batch; a
-    generator passed to successive calls continues its stream, one block
-    per call. Its matrix products may: BLAS can round a column differently
-    in a batch of another width, so a batch can change an activation only
-    at a near-tie, where a value lies within rounding of its threshold.
-    The draws, like every array of the pass, are in the dtype of
+    `sample_rngs` is the (L, n, B) array of the pass's draws that passes()
+    yields, with n = W[0]'s row count and dtype the pass's, or the B generators
+    that draw(sample_rngs, L, n, dtype) turns into it bit for bit; layer k
+    reads its contiguous (n, B) slice [k - 1]. Column s holds L * n uniforms of
+    sample s's stream, layer-major and neuron ascending, so a sample's draws do
+    not depend on its batch; a generator passed to successive calls continues
+    its stream, one block per call. Its matrix products may: BLAS can round a
+    column differently in a batch of another width, so a batch can change an
+    activation only at a near-tie, where a value lies within rounding of its
+    threshold. The draws, like every array of the pass, are in the dtype of
     W[0] @ D0: float32 for float32 weights and inputs.
 
     `first` is first_layer(params, D0, cfg), computed here when None. A
@@ -220,7 +232,7 @@ def quantum_forward_batch(
             raise ShapeMismatch(f"need ({L}, {n}, {B}) {dtype} draws, got {U.shape} {U.dtype}")
     elif len(sample_rngs) != B:
         raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
-    else:
+    else:  # only perfbench's classical_bitwise check and the tests still pass generators
         U = draw(sample_rngs, L, n, dtype)
     # np.sin and np.cos return float64, which would widen the pass
     sin_g, cos_g = dtype.type(np.sin(cfg.g)), dtype.type(np.cos(cfg.g))

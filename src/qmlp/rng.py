@@ -13,22 +13,22 @@ where splitmix64 is the finalizer from Steele et al.'s SplitMix generator.
 This chain is part of the reproducibility contract: results depend only on
 the keys. The streams, and the caller that mixes a key's inner mix64 first:
 
-    stream   key                                   derived by  in
-    INIT     seed, INIT                            substream   training.train
-    SUBSET   subset_seed, SUBSET                   substream   data.subset, for sweep._train_split
-    SUBSET   mix64(subset_seed, 1), SUBSET         substream   data.subset, for sweep._val_split
-    SHUFFLE  mix64(seed, SHUFFLE, epoch), SHUFFLE  substream   BatchPlan.make, for training.train
-    FORWARD  seed, FORWARD, epoch, batch, i        words       training.train, once an epoch
-    EVAL     policy seed, EVAL, i                  words       prediction_matrix, once a call
+    stream   key                                   made by    in
+    INIT     seed, INIT                            substream  training.train
+    SUBSET   subset_seed, SUBSET                   substream  data.subset, for sweep._train_split
+    SUBSET   mix64(subset_seed, 1), SUBSET         substream  data.subset, for sweep._val_split
+    SHUFFLE  mix64(seed, SHUFFLE, epoch), SHUFFLE  substream  BatchPlan.make, for training.train
+    FORWARD  seed, FORWARD, epoch, batch, i        words      quantum.passes, for training.train
+    EVAL     policy seed, EVAL, i                  words      quantum.passes, for prediction_matrix
 
-The measurement streams ("words") are derived in two steps. First
-seed_words(mix64(seed, *parts)), with uint64 array parts, turns every key
-of an epoch or of an evaluation into PCG64 seed words in one vectorized
-pass: the chain in uint64 and numpy's SeedSequence hash in uint32
-arithmetic. Then a batch or chunk seeds its own rows' generators with
-`generators`. Each state, and so each stream, equals
-default_rng's for the same key; only its `bit_generator.seed_seq` differs,
-and it cannot spawn children.
+The measurement streams ("words") are derived in two steps, both in
+quantum.passes. First seed_words(mix64(seed, *parts)), with uint64 array
+parts mixed by the caller, turns every key of an epoch or of an evaluation
+into PCG64 seed words in one vectorized pass: the chain in uint64 and
+numpy's SeedSequence hash in uint32 arithmetic. Then a batch or chunk
+seeds its own rows' generators with `generators`. Each state, and so each
+stream, equals default_rng's for the same key; only its
+`bit_generator.seed_seq` differs, and it cannot spawn children.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 The run seed derives every stream the loop touches (see rng.py): weight
 init, the per-epoch shuffle, and one generator per (epoch, batch, sample)
-for measurement sampling, whose seed words are derived once per epoch.
+for measurement sampling, whose seed words quantum.passes derives once per epoch.
 Gradients are the mean of per-sample gradients over the mini-batch, reduced
 in sample order; the weight update is classical heavy-ball momentum,
 v <- momentum*v - lr*grad, W <- W + v.
@@ -35,8 +35,8 @@ from .network import (
     softmax_cross_entropy_batch,
     ste_backward_batch,
 )
-from .quantum import QuantumConfig, quantum_forward_batch
-from .rng import FORWARD, INIT, SHUFFLE, generators, mix64, seed_words, substream
+from .quantum import QuantumConfig, passes, quantum_forward_batch
+from .rng import FORWARD, INIT, SHUFFLE, mix64, substream
 
 
 @dataclass(frozen=True)
@@ -165,19 +165,18 @@ def train(
     records = []
     for epoch in range(hyper.epochs):
         plan = BatchPlan.make(train_set.count, hyper.batch_size, mix64(hyper.seed, SHUFFLE, epoch))
-        if not hyper.quantum.is_classical:  # row j keys the j-th sample of the epoch's order
+        if not hyper.quantum.is_classical:  # key j is the j-th sample of the epoch's order
             j = np.arange(train_set.count, dtype=np.uint64)
-            words = seed_words(mix64(hyper.seed, FORWARD, epoch, j // hyper.batch_size,
-                                     j % hyper.batch_size))
+            keys = mix64(hyper.seed, FORWARD, epoch, j // hyper.batch_size, j % hyper.batch_size)
+            dtype = np.result_type(params.W[0], train_set.X)  # as quantum_forward_batch does
+            draws = passes(params, keys, hyper.batch_size, 1, dtype)
         loss_sum = 0.0
         for batch, idx in enumerate(plan.batches()):
             X, y = train_set.X[idx], train_set.y[idx]
             if hyper.quantum.is_classical:
                 trace = classical_forward_batch(params, X.T)
             else:
-                start = batch * hyper.batch_size
-                rngs = generators(words[start : start + len(idx)])
-                trace = quantum_forward_batch(params, X.T, hyper.quantum, rngs)
+                trace = quantum_forward_batch(params, X.T, hyper.quantum, next(draws))
             losses, dF = softmax_cross_entropy_batch(trace.F, y)
             loss = float(losses.sum(dtype=np.float64))
             if not np.isfinite(loss):

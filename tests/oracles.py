@@ -19,6 +19,8 @@ every batched kernel has an independent reference:
   entangling gate;
 * `shot_predictions` replays one sample's multi-shot evaluation from its
   one evaluation stream;
+* `exact_prediction_law` enumerates every outcome branch of a tiny net,
+  the law that the sampled predictions must follow, computed without a draw;
 * `ry_update_allocating` and `weak_update_allocating` are the Bloch-pair
   kernels `ry_update` and `weak_update` with one expression per quantity,
   each step a new array, and `ste_backward_batch_allocating` and
@@ -32,6 +34,7 @@ every batched kernel has an independent reference:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -296,6 +299,44 @@ def shot_predictions(params, x, cfg, shots: int, seed: int, index: int) -> list:
     """
     rng = substream(seed, EVAL, index)
     return [int(np.argmax(reference_forward(params, x, cfg, rng)[2])) for _ in range(shots)]
+
+
+def exact_prediction_law(params, x, cfg):
+    """The exact law of input x's stochastic prediction, by enumerating every branch.
+
+    Each hidden neuron is one qubit, fresh in |0> and carried across layers:
+    per layer it is rotated by rotation_angle with apply_ry, then measured
+    through weak_measure_oracle, the raw entangling gate (at g = pi/2 a
+    projective measurement). All 2^(L*n) outcome branches are walked, so
+    this is for tiny nets. Returns (P, agreement): P[c] is the probability
+    that class c is the output's argmax (ties to the lowest class), and
+    agreement[k - 1, i] is E[d sign(z)] for neuron i of layer k, the
+    correlation of its outcome with the sign of its preactivation.
+    """
+    L, n = params.num_hidden_layers, params.W[0].shape[0]
+    law, agreement = np.zeros(params.output_size), np.zeros((L, n))
+
+    def walk(k, d, states, prob, signs):
+        if k > L:
+            law[np.argmax(params.W[-1] @ d)] += prob
+            for layer, (s, dk) in enumerate(signs):
+                agreement[layer] += prob * s * dk
+            return
+        z = params.W[k - 1] @ d
+        branches = []  # per neuron: (outcome, probability, post-measurement state)
+        for i in range(n):
+            turned = apply_ry(states[i], rotation_angle(k, d[i] if k > 1 else 1.0, z[i], cfg.a))
+            p_plus, post_plus, post_minus = weak_measure_oracle(turned.alpha, turned.beta, cfg.g)
+            branches.append([(1.0, p_plus, post_plus), (-1.0, 1.0 - p_plus, post_minus)])
+        for outcome in itertools.product(*branches):
+            p = prob * np.prod([q for _, q, _ in outcome])
+            if all(post is not None for _, _, post in outcome) and p > 0:
+                dk = np.array([o for o, _, _ in outcome])
+                walk(k + 1, dk, [QubitState(*post) for _, _, post in outcome], p,
+                     signs + [(sign(z), dk)])
+
+    walk(1, np.asarray(x, dtype=np.float64), [QubitState(1.0, 0.0)] * n, 1.0, [])
+    return law, agreement
 
 
 # --- the batched measurement kernels, written with selects and scatters -------

@@ -17,11 +17,11 @@ from qmlp.inference import (
     prediction_matrix,
     vote_errors,
 )
-from qmlp.network import NetworkParams, init_network_params
+from qmlp.network import NetworkParams, init_network_params, sign
 from qmlp.quantum import HALF_PI, QuantumConfig, draw, quantum_forward_batch
 from qmlp.rng import EVAL, substream
 
-from oracles import as_float64, classical_forward, shot_predictions
+from oracles import as_float64, classical_forward, exact_prediction_law, shot_predictions
 from synthdigits import make_raw_dataset
 
 
@@ -380,6 +380,56 @@ class TestVoteErrors:
             vote_errors(NetworkParams([np.eye(4)]), data, QuantumConfig(a=0.5), 3, seed=0)
 
 
+def tiny_net():
+    """A 4 -> 2x3 -> 3 float32 net, whose 6 measurements make 64 outcome branches, and
+    4 inputs on which it predicts all three classes at the classical point."""
+    rng = np.random.default_rng(3)
+    shapes = [((3, 4), 0.4), ((3, 3), 0.4), ((3, 3), 1.0)]
+    params = NetworkParams([rng.uniform(-s, s, shape).astype(np.float32) for shape, s in shapes])
+    return params, rng.uniform(0, 1, (4, 4)).astype(np.float32)
+
+
+class TestExactLaw:
+    """The sampled pass against the exact law of a whole net, which exact_prediction_law
+    computes from the amplitude-level qubit and the raw entangling gate, with no draw."""
+
+    @pytest.mark.parametrize("a, g", [(0.0, HALF_PI), (0.316227766, HALF_PI),
+                                      (0.0, 5 * np.pi / 19), (0.4641588834, 9 * np.pi / 19)],
+                             ids=["classical", "projective", "a-zero-weak", "combined"])
+    def test_predictions_follow_the_law(self, a, g):
+        # 1,000 copies of each input, 8 shots each: 8,000 independent samples per input
+        params, X = tiny_net()
+        copies, shots = 1000, 8
+        data = EncodedDataset(X=np.repeat(X, copies, axis=0), y=np.zeros(4 * copies, np.int64))
+        cfg = QuantumConfig(a=a, g=g)
+        matrix = prediction_matrix(params, data, cfg, shots, seed=41).reshape(4, copies * shots)
+        size = copies * shots
+        laws = [exact_prediction_law(as_float64(params), x, cfg)[0] for x in X]
+        if cfg.is_classical:  # the law is one class per input, and the inputs cover all three
+            assert {int(np.argmax(law)) for law in laws} == {0, 1, 2}
+        for law, preds in zip(laws, matrix):
+            counts = np.bincount(preds, minlength=3)
+            # 5 standard deviations of a binomial count, and one count for float32 rounding
+            assert np.all(np.abs(counts - size * law) <= 5 * np.sqrt(size * law * (1 - law)) + 1)
+
+    @pytest.mark.parametrize("g", [5 * np.pi / 19, np.pi / 4, 1.2])
+    def test_at_a_zero_outcomes_follow_the_sign_by_sin_g_then_sin_squared_g(self, g):
+        # an outcome agrees with sign(z) by sin g; the qubit is not reset, so layer 2's
+        # pole carries layer 1's outcome and its agreement is sin^2 g
+        params, X = tiny_net()
+        cfg = QuantumConfig(a=0.0, g=g)
+        want = np.array([[np.sin(g)] * 3, [np.sin(g) ** 2] * 3])
+        for x in X:
+            _, agreement = exact_prediction_law(as_float64(params), x, cfg)
+            assert np.allclose(agreement, want, rtol=0, atol=1e-12)
+        # and the pass realizes it: 20,000 samples of the 4 inputs
+        D0 = np.repeat(X, 5000, axis=0).T
+        draws = np.random.default_rng(42).random((2, 3, D0.shape[1]), dtype=np.float32)
+        trace = quantum_forward_batch(params, D0, cfg, draws)
+        realized = [np.mean(d * sign(z), axis=1) for z, d in zip(trace.Z, trace.D[1:])]
+        assert np.all(np.abs(np.array(realized) - want) < 5 / np.sqrt(D0.shape[1]))
+
+
 def available_cpus() -> int:
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
@@ -394,7 +444,7 @@ def force_helper(monkeypatch, on: bool) -> list:
         return draw(*args)
 
     monkeypatch.setattr(qmlp.inference, "_spare_cpu", lambda: on)
-    monkeypatch.setattr(qmlp.inference, "draw", recorded)
+    monkeypatch.setattr(qmlp.quantum, "draw", recorded)
     return on_main
 
 
@@ -471,7 +521,7 @@ class TestHelperThread:
             monkeypatch.setattr(qmlp.inference, "quantum_forward_batch",
                                 fails_fourth(quantum_forward_batch))
         else:
-            monkeypatch.setattr(qmlp.inference, "draw", fails_fourth(qmlp.inference.draw))
+            monkeypatch.setattr(qmlp.quantum, "draw", fails_fourth(qmlp.quantum.draw))
         before = set(threading.enumerate())
         with pytest.raises(Failed, match=f"^{where}$"):
             prediction_matrix(params, data, QuantumConfig(a=0.5, g=1.0), 3, seed=36)

@@ -13,13 +13,14 @@ from qmlp.quantum import (
     QuantumConfig,
     draw,
     first_layer,
+    passes,
     phi_a,
     projective_update,
     quantum_forward_batch,
     ry_update,
     weak_update,
 )
-from qmlp.rng import FORWARD, substream
+from qmlp.rng import EVAL, FORWARD, mix64, substream
 
 from oracles import (
     QubitState,
@@ -517,6 +518,23 @@ class TestQuantumForward:
             assert got.flags.c_contiguous
             assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((layers, 5, B), dtype)
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shots", [1, 3])
+    @pytest.mark.parametrize("layers", [0, 1, 3])
+    def test_passes_draw_each_group_shot_by_shot(self, layers, shots, dtype):
+        # 7 keys in groups of 3 leave a last group of 1; at L = 0, n is the output width 3
+        params = init_network_params(6, 5, layers, 3, np.random.default_rng(28))
+        n = params.W[0].shape[0]
+        keys = mix64(9, EVAL, np.arange(7, dtype=np.uint64))
+        want = []
+        for start in range(0, 7, 3):
+            refs = [substream(9, EVAL, i) for i in range(start, min(start + 3, 7))]
+            want += [draws_by_column(refs, layers, n, dtype) for _shot in range(shots)]
+        got = list(passes(params, keys, 3, shots, dtype))
+        assert all(g.flags.c_contiguous for g in got)
+        assert [(g.shape, g.dtype, g.tobytes()) for g in got] == [
+            (w.shape, w.dtype, w.tobytes()) for w in want]
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("layers", [0, 1, 3])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import qmlp.inference
+import qmlp.quantum
 import qmlp.training
 from qmlp.config import DataConfig, RunConfig
 from qmlp.data import BatchPlan, encode_dataset
@@ -153,19 +154,18 @@ def test_mix64_array_parts_equal_the_scalar_chain():
         assert got.tolist() == [mix64(seed, FORWARD, 2**64 - 1, int(p), 3) for p in edges]
 
 
-def states(rngs):
-    return [gen.bit_generator.state for gen in rngs]
-
-
 def recording_forward(calls):
-    """quantum_forward_batch that first logs the states of the generators it is given,
-    or a copy of the array of draws it is given in their place."""
+    """quantum_forward_batch that first logs a copy of the array of draws it is given."""
 
-    def forward(params, D0, cfg, rngs, **kwargs):
-        calls.append(rngs.copy() if isinstance(rngs, np.ndarray) else states(rngs))
-        return quantum_forward_batch(params, D0, cfg, rngs, **kwargs)
+    def forward(params, D0, cfg, draws, **kwargs):
+        calls.append(draws.copy())
+        return quantum_forward_batch(params, D0, cfg, draws, **kwargs)
 
     return forward
+
+
+def as_bytes(arrays):
+    return [(a.shape, a.dtype, a.tobytes()) for a in arrays]
 
 
 @pytest.mark.parametrize("count, batch_size", [(40, 16), (5, 1), (7, 64)])
@@ -178,9 +178,11 @@ def test_epoch_generators_are_the_per_sample_substreams(count, batch_size, monke
     train(hyper, encode_dataset(make_raw_dataset(count, seed=104)),
           encode_dataset(make_raw_dataset(4, seed=105)))
     sizes = [min(batch_size, count - start) for start in range(0, count, batch_size)]
-    want = [states(substream(hyper.seed, FORWARD, epoch, b, i) for i in range(size))
+    # batch b of an epoch gets the (L, n) = (2, 5) block of each of its samples' streams
+    want = [np.stack([substream(hyper.seed, FORWARD, epoch, b, i).random((2, 5), dtype=np.float32)
+                      for i in range(size)], axis=-1)
             for epoch in range(2) for b, size in enumerate(sizes)]
-    assert calls == want
+    assert as_bytes(calls) == as_bytes(want)
 
 
 def test_evaluation_generators_are_the_per_sample_substreams(monkeypatch):
@@ -196,12 +198,11 @@ def test_evaluation_generators_are_the_per_sample_substreams(monkeypatch):
         refs = [substream(9, EVAL, i) for i in range(start, min(start + 2, 7))]
         for _shot in range(2):  # each shot continues the stream by one block of L * n
             want.append(np.stack([ref.random((2, 5), dtype=np.float32) for ref in refs], axis=-1))
-    want = [(w.shape, w.dtype, w.tobytes()) for w in want]
     for helper in (False, True):  # the draws are made on this thread, or one pass ahead
         calls.clear()
         monkeypatch.setattr(qmlp.inference, "_spare_cpu", lambda helper=helper: helper)
         prediction_matrix(params, data, cfg, 2, seed=9)
-        assert [(c.shape, c.dtype, c.tobytes()) for c in calls] == want
+        assert as_bytes(calls) == as_bytes(want)
 
 
 def test_words_are_derived_once_per_epoch_and_once_per_evaluation(monkeypatch):
@@ -211,8 +212,7 @@ def test_words_are_derived_once_per_epoch_and_once_per_evaluation(monkeypatch):
         derived.append(values.size)
         return seed_words(values)
 
-    for module in (qmlp.training, qmlp.inference):
-        monkeypatch.setattr(module, "seed_words", counting)
+    monkeypatch.setattr(qmlp.quantum, "seed_words", counting)
     train_set = encode_dataset(make_raw_dataset(40, seed=101))
     val_set = encode_dataset(make_raw_dataset(8, seed=102))
     for cfg, want in [(QuantumConfig(a=0.0, g=HALF_PI), []),
@@ -245,14 +245,13 @@ class RecordedGenerator:
 
 def draw_digest(monkeypatch, run):
     """(SHA-256 of every random() draw run() takes from qmlp's measurement streams,
-    number of calls); training and evaluation build those streams with `generators`."""
+    number of calls); quantum.passes builds those streams with `generators`."""
     log = []
 
     def recording(words):
         return [RecordedGenerator(gen, log) for gen in generators(words)]
 
-    for module in (qmlp.training, qmlp.inference):
-        monkeypatch.setattr(module, "generators", recording)
+    monkeypatch.setattr(qmlp.quantum, "generators", recording)
     run()
     return hashlib.sha256(b"".join(log)).hexdigest(), len(log)
 

@@ -169,6 +169,24 @@ class TestTrain:
         for w1, w2 in zip(m_classical.params.W, m_quantum.params.W):
             assert np.array_equal(w1, w2)
 
+    def test_quantum_net_with_no_hidden_layer_is_the_classical_run(self, tiny_data, monkeypatch):
+        # with no hidden layer nothing is measured: every pass is W[0] @ D0, its draws empty
+        train_set, val_set = tiny_data
+        classical = train(tiny_hyper(hidden_layers=0), train_set, val_set)
+        draws = []
+        monkeypatch.setattr(
+            training, "quantum_forward_batch",
+            lambda *args: draws.append(args[-1].shape) or quantum_forward_batch(*args),
+        )
+        combined = QuantumConfig(a=0.4641588834, g=9 * np.pi / 19)
+        hyper = tiny_hyper(hidden_layers=0, quantum=combined)
+        quantum = train(hyper, train_set, val_set)
+        assert draws == [(0, NUM_CLASSES, 16)] * (hyper.epochs * 4)
+        assert quantum.records == classical.records
+        for got, want in zip(quantum.params.W + quantum.velocity,
+                             classical.params.W + classical.velocity, strict=True):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_returns_optimizer_state_of_last_step(self, tiny_data, monkeypatch):
         train_set, val_set = tiny_data
         after_step = []
