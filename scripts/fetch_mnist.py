@@ -9,8 +9,10 @@ the files by magic and size.
 """
 
 import gzip
+import os
 import sys
 import urllib.request
+import zlib
 from pathlib import Path
 
 MIRRORS = [
@@ -27,7 +29,12 @@ FILES = [
 
 
 def fetch(name: str, dest: Path) -> None:
-    target = dest / name
+    """Unpack `name` into dest from the first mirror that serves it whole.
+
+    The file is written as `<name>.part` and renamed into place, so a
+    download cut short never leaves a file that a rerun takes as present.
+    """
+    target, part = dest / name, dest / f"{name}.part"
     if target.exists():
         print(f"{target} already present")
         return
@@ -37,12 +44,15 @@ def fetch(name: str, dest: Path) -> None:
         try:
             print(f"downloading {url}")
             with urllib.request.urlopen(url, timeout=60) as response:
-                target.write_bytes(gzip.decompress(response.read()))
+                part.write_bytes(gzip.decompress(response.read()))
+            os.replace(part, target)
             print(f"wrote {target} ({target.stat().st_size} bytes)")
             return
-        except OSError as exc:
+        except (OSError, EOFError, zlib.error) as exc:  # the last two: a torn gzip stream
             last_error = exc
             print(f"  failed: {exc}")
+        finally:
+            part.unlink(missing_ok=True)
     raise SystemExit(f"could not fetch {name}: {last_error}")
 
 

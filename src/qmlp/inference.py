@@ -121,7 +121,7 @@ def prediction_matrix(
     chunk = max(1, _EVAL_QUBITS // width)
     preds = np.empty((n, shots), dtype=np.int64)
     keys = mix64(seed, EVAL, np.arange(n, dtype=np.uint64))
-    draws = passes(params, keys, chunk, shots, np.result_type(params.W[0], data.X))
+    draws = passes(params, data.X, keys, chunk, shots)
     with ThreadPoolExecutor(1) if _spare_cpu() else nullcontext() as helper:
         if helper is not None:
             draws = _one_ahead(helper, draws)

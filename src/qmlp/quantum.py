@@ -170,13 +170,14 @@ def draw(rngs, L: int, n: int, dtype) -> np.ndarray:
     return np.ascontiguousarray(np.moveaxis(rows, 0, -1))
 
 
-def passes(params: NetworkParams, keys: np.ndarray, group: int, shots: int, dtype):
-    """The draw() arrays of every pass over the uint64 measurement `keys`, in order:
-    the keys' seed words are derived once, and each run of `group` consecutive keys
-    (the last may be shorter) builds its generators and draws `shots` successive
-    passes from them. L and n are read as quantum_forward_batch reads them."""
+def passes(params: NetworkParams, X: np.ndarray, keys: np.ndarray, group: int, shots: int):
+    """The draw() arrays of every pass over inputs X with the uint64 measurement
+    `keys`, in order: the keys' seed words are derived once, and each run of `group`
+    consecutive keys (the last may be shorter) builds its generators and draws
+    `shots` successive passes from them. L, n and the dtype are read from params
+    and X as quantum_forward_batch reads them from params and D0."""
     words = seed_words(keys)
-    L, n = params.num_hidden_layers, params.W[0].shape[0]
+    L, n, dtype = params.num_hidden_layers, params.W[0].shape[0], np.result_type(params.W[0], X)
     for start in range(0, len(words), group):
         rngs = generators(words[start : start + group])
         for _shot in range(shots):
@@ -223,17 +224,14 @@ def quantum_forward_batch(
         raise ShapeMismatch(
             f"quantum forward reuses one qubit per neuron; hidden widths {widths} differ"
         )
-    L, n = params.num_hidden_layers, params.W[0].shape[0]
-    B = D0.shape[1]
-    dtype = np.result_type(params.W[0], D0)
-    if isinstance(sample_rngs, np.ndarray):
-        U = sample_rngs
-        if U.shape != (L, n, B) or U.dtype != dtype:
-            raise ShapeMismatch(f"need ({L}, {n}, {B}) {dtype} draws, got {U.shape} {U.dtype}")
-    elif len(sample_rngs) != B:
-        raise ShapeMismatch(f"need {B} sample generators, got {len(sample_rngs)}")
-    else:  # only perfbench's classical_bitwise check and the tests still pass generators
-        U = draw(sample_rngs, L, n, dtype)
+    L, n, dtype = params.num_hidden_layers, params.W[0].shape[0], np.result_type(params.W[0], D0)
+    B, U = D0.shape[1], sample_rngs
+    if not isinstance(U, np.ndarray):  # generators: only perfbench's classical_bitwise, tests
+        if len(U) != B:  # refused before any generator draws
+            raise ShapeMismatch(f"need {B} sample generators, got {len(U)}")
+        U = draw(U, L, n, dtype)
+    if U.shape != (L, n, B) or U.dtype != dtype:
+        raise ShapeMismatch(f"need ({L}, {n}, {B}) {dtype} draws, got {U.shape} {U.dtype}")
     # np.sin and np.cos return float64, which would widen the pass
     sin_g, cos_g = dtype.type(np.sin(cfg.g)), dtype.type(np.cos(cfg.g))
     prev = 1.0  # t = 1 after a projective measurement; the other paths set prev per layer

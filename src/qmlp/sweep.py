@@ -138,12 +138,12 @@ def run_training_job(cfg: RunConfig, out_dir) -> dict:
     metrics_path = out_dir / "metrics.jsonl"
     start = time.perf_counter()
     with open(metrics_path, "w", encoding="utf-8") as log:
-        metrics = train(
+        metrics = train(  # each epoch's row reaches the file as the epoch ends
             cfg.hyper,
             train_set,
             val_set,
-            on_epoch=lambda rec: log.write(
-                json.dumps(asdict(rec), sort_keys=True) + "\n"
+            on_epoch=lambda rec: print(
+                json.dumps(asdict(rec), sort_keys=True), file=log, flush=True
             ),
         )
     wall = time.perf_counter() - start

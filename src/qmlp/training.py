@@ -168,8 +168,7 @@ def train(
         if not hyper.quantum.is_classical:  # key j is the j-th sample of the epoch's order
             j = np.arange(train_set.count, dtype=np.uint64)
             keys = mix64(hyper.seed, FORWARD, epoch, j // hyper.batch_size, j % hyper.batch_size)
-            dtype = np.result_type(params.W[0], train_set.X)  # as quantum_forward_batch does
-            draws = passes(params, keys, hyper.batch_size, 1, dtype)
+            draws = passes(params, train_set.X, keys, hyper.batch_size, 1)
         loss_sum = 0.0
         for batch, idx in enumerate(plan.batches()):
             X, y = train_set.X[idx], train_set.y[idx]

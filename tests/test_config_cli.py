@@ -377,6 +377,26 @@ class TestTrainJob:
             "checkpoint.qckpt", "metrics.jsonl", "result.json"
         ]
 
+    def test_each_epoch_row_is_on_disk_when_its_epoch_ends(
+        self, tmp_path, small_idx_dir, monkeypatch
+    ):
+        # a row left in the file's buffer would be lost with a killed run
+        cfg = load_config(write_desk_config(tmp_path, small_idx_dir, epochs=3))
+        log, original, seen = tmp_path / "job" / "metrics.jsonl", qmlp.sweep.train, []
+
+        def train_reading_the_log(*args, on_epoch):
+            def after(record):
+                on_epoch(record)
+                text = log.read_text()
+                seen.append(text.endswith("\n") and [json.loads(line)["epoch"]
+                                                     for line in text.splitlines()])
+
+            return original(*args, on_epoch=after)
+
+        monkeypatch.setattr(qmlp.sweep, "train", train_reading_the_log)
+        run_training_job(cfg, tmp_path / "job")
+        assert seen == [[0], [0, 1], [0, 1, 2]]
+
     def test_result_reuses_last_epoch_record(self, tmp_path, small_idx_dir, monkeypatch):
         epochs = 3
         cfg = load_config(write_desk_config(tmp_path, small_idx_dir, epochs=epochs))

@@ -412,6 +412,34 @@ class TestExactLaw:
             # 5 standard deviations of a binomial count, and one count for float32 rounding
             assert np.all(np.abs(counts - size * law) <= 5 * np.sqrt(size * law * (1 - law)) + 1)
 
+    @pytest.mark.parametrize("a, g", [(0.316227766, HALF_PI), (0.0, 5 * np.pi / 19),
+                                      (0.4641588834, 9 * np.pi / 19)],
+                             ids=["projective", "a-zero-weak", "combined"])
+    def test_the_vote_converges_to_the_law_s_argmax(self, a, g):
+        # Over S shots the top class c out-counts class c' by a sum of S independent
+        # steps in [-1, 1] of mean m' = P[c] - P[c'], so by Hoeffding the S-shot vote
+        # misses c (ties included) with probability at most sum over c' of
+        # exp(-S m'^2 / 2); and the share of N copies falls more than t below its mean
+        # with probability at most exp(-2 N t^2), 1e-3 at the t below
+        params, X = tiny_net()
+        cfg = QuantumConfig(a=a, g=g)
+        laws = np.array([exact_prediction_law(as_float64(params), x, cfg)[0] for x in X])
+        ranked = np.sort(laws, axis=1)
+        led = ranked[:, -1] - ranked[:, -2] >= 0.25  # 3 of the 4 inputs at each point
+        X, laws = X[led], laws[led]
+        copies, shots, small = 200, 120, 5
+        data = EncodedDataset(X=np.repeat(X, copies, axis=0), y=np.zeros(len(X) * copies, np.int64))
+        votes = mode_over_shots(prediction_matrix(params, data, cfg, shots, seed=43), 3)
+        votes = votes.reshape(len(X), copies, shots)
+        t = np.sqrt(np.log(1e3) / (2 * copies))
+        assert len(X) == 3
+        for law, vote in zip(laws, votes):
+            share = np.mean(vote == np.argmax(law), axis=0)  # share[S - 1]: the S-shot vote's
+            margins = law.max() - np.delete(law, np.argmax(law))
+            for S in (small, shots):
+                assert share[S - 1] >= 1 - np.exp(-S * margins**2 / 2).sum() - t
+            assert share[small - 1] < share[shots - 1]
+
     @pytest.mark.parametrize("g", [5 * np.pi / 19, np.pi / 4, 1.2])
     def test_at_a_zero_outcomes_follow_the_sign_by_sin_g_then_sin_squared_g(self, g):
         # an outcome agrees with sign(z) by sin g; the qubit is not reset, so layer 2's

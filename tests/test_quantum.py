@@ -503,6 +503,9 @@ class TestQuantumForward:
         streams = [substream(4, FORWARD, 0, 0, s) for s in range(4 + extra)]
         with pytest.raises(ShapeMismatch, match=f"^need 4 sample generators, got {4 + extra}$"):
             quantum_forward_batch(params, X, QuantumConfig(a=0.3), streams)
+        fresh = [substream(4, FORWARD, 0, 0, s) for s in range(4 + extra)]
+        assert [g.bit_generator.state for g in streams] == [
+            g.bit_generator.state for g in fresh]  # no generator has drawn
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("B", [1, 7])
@@ -519,19 +522,23 @@ class TestQuantumForward:
             assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((layers, 5, B), dtype)
             assert got.tobytes() == want.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("weights, inputs, dtype", [
+        (np.float32, np.float32, np.float32), (np.float64, np.float64, np.float64),
+        (np.float32, np.float64, np.float64)])  # the pass's dtype, that of W[0] @ X.T
     @pytest.mark.parametrize("shots", [1, 3])
     @pytest.mark.parametrize("layers", [0, 1, 3])
-    def test_passes_draw_each_group_shot_by_shot(self, layers, shots, dtype):
+    def test_passes_draw_each_group_shot_by_shot(self, layers, shots, weights, inputs, dtype):
         # 7 keys in groups of 3 leave a last group of 1; at L = 0, n is the output width 3
         params = init_network_params(6, 5, layers, 3, np.random.default_rng(28))
+        params.W = [w.astype(weights) for w in params.W]
+        X = np.zeros((7, 6), dtype=inputs)
         n = params.W[0].shape[0]
         keys = mix64(9, EVAL, np.arange(7, dtype=np.uint64))
         want = []
         for start in range(0, 7, 3):
             refs = [substream(9, EVAL, i) for i in range(start, min(start + 3, 7))]
             want += [draws_by_column(refs, layers, n, dtype) for _shot in range(shots)]
-        got = list(passes(params, keys, 3, shots, dtype))
+        got = list(passes(params, X, keys, 3, shots))
         assert all(g.flags.c_contiguous for g in got)
         assert [(g.shape, g.dtype, g.tobytes()) for g in got] == [
             (w.shape, w.dtype, w.tobytes()) for w in want]
